@@ -169,8 +169,6 @@ def experiment(n_list, trial_schedule, runs, seed, out_path, fmt, deterministic)
             trial_schedule=_parse_int_list(trial_schedule, "--trial-schedule"),
             runs=runs,
             seed=seed,
-            out_path=out_path,
-            fmt=fmt,
             deterministic=deterministic,
         )
     except ValueError as exc:

@@ -247,9 +247,6 @@ class CQTensor:
     def norm(self) -> float:
         return float(np.sqrt((self.data**2).sum()))
 
-    def inner(self, other: "CQTensor") -> float:
-        return tensor_inner(self, other)
-
     def __repr__(self) -> str:
         return f"CQTensor(dims={self.dims})"
 

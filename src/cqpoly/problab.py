@@ -6,9 +6,11 @@ probe carry a unit constant: the true constants in the lower bounds are
 non-constructive, so the curves are for shape comparison only and are never
 asserted as ground-truth inequalities.
 
-Sampling is batched with a fixed batch size; batch b draws from
-RandomSource(seed, stream=b), and counts merge by addition, so results are
-independent of how batches are scheduled.
+Sampling is batched: a batch holds BATCH_SIZE samples, or fewer when their
+draws would take more than BATCH_BYTES, so the batch size depends only on
+the dimension. Batch b draws from RandomSource(seed, stream=b), and counts
+merge by addition, so results are independent of how batches are
+scheduled.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .linalg import CQVector
 from .sampling import RandomSource
 
 BATCH_SIZE = 1 << 16
+BATCH_BYTES = 1 << 26
 
 # Re(p q) contracts components with these signs.
 _RE_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
@@ -57,11 +60,13 @@ class BoundCurveRow:
     bound_improved: float
 
 
-def _batches(samples: int):
+def _batches(samples: int, sample_bytes: int):
+    """(stream, size) of each batch when one sample's draws take sample_bytes."""
+    batch = max(1, min(BATCH_SIZE, BATCH_BYTES // sample_bytes))
     offset = 0
     stream = 0
     while offset < samples:
-        size = min(BATCH_SIZE, samples - offset)
+        size = min(batch, samples - offset)
         yield stream, size
         offset += size
         stream += 1
@@ -98,7 +103,7 @@ def estimate_tail_prob(
     # Re(a^T xi) = sum_i [a_i0 xi_i0 - a_i1 xi_i1 + a_i2 xi_i2 - a_i3 xi_i3]
     weights = (a.data * _RE_SIGNS).ravel()
     hits = 0
-    for stream, size in _batches(samples):
+    for stream, size in _batches(samples, 32 * n):
         src = RandomSource(seed, stream=stream)
         draws = src.normals((size, n, 4))
         nrm = np.sqrt((draws**2).sum(axis=(1, 2)))
@@ -144,7 +149,7 @@ def check_chi_square_tail(t: float, b, samples: int, seed: int) -> ChiSquareTail
         raise ValueError("samples must be positive")
     cutoff = 2 * float(np.sqrt((b**2).sum())) * math.sqrt(t) + 2 * float(b.max()) * t
     hits = 0
-    for stream, size in _batches(samples):
+    for stream, size in _batches(samples, 8 * b.size):
         src = RandomSource(seed, stream=stream)
         eta = src.normals((size, b.size))
         z = (eta**2 - 1.0) @ b
@@ -165,8 +170,6 @@ def bound_curves(n_range, gamma: float, delta: float) -> list[BoundCurveRow]:
     if delta <= 0:
         raise ValueError("delta must be positive")
     improved_exp = (2 + delta + delta**2 / 2) * gamma
-    if (2 + delta + delta**2 / 2) < 4.5 and not improved_exp < 4.5 * gamma:
-        raise AssertionError("improved exponent must beat 4.5 gamma when its factor is smaller")
     rows = []
     for n in n_range:
         n = int(n)

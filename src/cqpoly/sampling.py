@@ -39,15 +39,19 @@ class RandomSource:
             raise ValueError("dimension must be at least 1")
         return CQVector(self._gen.standard_normal((n, 4)))
 
-    def sphere_vector(self, n: int) -> CQVector:
-        """Uniform draw on the quaternion unit sphere (unit sphere in R^{4n})."""
+    def sphere_array(self, n: int) -> np.ndarray:
+        """Uniform draw on the quaternion unit sphere as a raw (n, 4) array."""
         if n < 1:
             raise ValueError("dimension must be at least 1")
         while True:
             data = self._gen.standard_normal((n, 4))
             nrm = float(np.sqrt((data**2).sum()))
             if nrm >= 1e-300:
-                return CQVector(data / nrm)
+                return data / nrm
+
+    def sphere_vector(self, n: int) -> CQVector:
+        """Uniform draw on the quaternion unit sphere (unit sphere in R^{4n})."""
+        return CQVector(self.sphere_array(n))
 
     def signs(self, count: int) -> np.ndarray:
         """Symmetric Bernoulli draws in {-1, +1}."""

@@ -10,9 +10,17 @@ an exhaustive sign combination step. The best rank-one approximation is
 solved per C+C component: the same randomized scheme gives the start and
 the higher-order power method refines it.
 
-Trial t of a run draws from RandomSource(seed, stream=t), so the best-of-k
-value is nondecreasing in k for a fixed seed and independent trials can be
-evaluated in any order or concurrently without changing the result.
+A best-of-k choice needs the value of every trial but the vectors of only
+one, so the trials are evaluated as one batch in C+C coordinates: the
+draws of a chunk of trials are stacked, contracted into the (trials, 2,
+m, n) blocks of the remaining bilinear problems, and valued by one batched
+call for the top singular values, without singular vectors. Only the
+winning trial is then redrawn and solved in full by solve_bilinear.
+
+Determinism contract: trial t draws only from RandomSource(seed, stream=t),
+in slot order, and its value is computed by arithmetic of fixed shape, so
+it depends only on (seed, t), not on the trial count or the chunking. The
+best-of-k value is therefore nondecreasing in k for a fixed seed.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +40,8 @@ DEGENERATE_NORM = 1e-12
 HOPM_MAX_SWEEPS = 500
 HOPM_TOL = 1e-14
 EIGHTH_TURN = np.exp(0.25j * np.pi)
+# Bound in bytes on the largest intermediate array of one chunk of batched trials.
+TRIAL_CHUNK_BYTES = 1 << 24
 
 
 class BilinearSolution(NamedTuple):
@@ -111,38 +121,86 @@ class SolveReport:
     relaxation: "SolveReport | None" = field(default=None, repr=False)
 
 
-def form_trial_values(
-    form: MultilinearForm, trials: int, seed: int
-) -> Iterator[tuple[int, float, list[CQVector], bool]]:
-    """Yield (trial, value, slot vectors, degenerate) for each independent trial.
+def _slot_order(dims: Sequence[int]) -> list[int]:
+    """Slots by nondecreasing dimension; the last two are solved exactly."""
+    return [int(s) for s in np.argsort(dims, kind="stable")]
+
+
+def _cc_draws(
+    dims: Sequence[int], start: int, stop: int, seed: int, unit_components: bool
+) -> list[np.ndarray]:
+    """C+C parts, each (stop - start, 2, n), of the sphere draws of trials start..stop-1.
+
+    Trial t draws one quaternion sphere vector per entry of dims, in order,
+    from RandomSource(seed, stream=t). With unit_components each complex
+    component is normalized on its own (a zero component is left as is).
+    """
+    raw = [np.empty((stop - start, n, 4)) for n in dims]
+    for row, t in enumerate(range(start, stop)):
+        src = RandomSource(seed, stream=t)
+        for out, n in zip(raw, dims):
+            out[row] = src.sphere_array(n)
+    draws = [np.stack(cc_split(r), axis=1) for r in raw]
+    if unit_components:
+        for draw in draws:
+            norms = np.linalg.norm(draw, axis=-1, keepdims=True)
+            np.divide(draw, norms, out=draw, where=norms > 0.0)
+    return draws
+
+
+def _contract_batch(comps: np.ndarray, xis: Sequence[np.ndarray]) -> np.ndarray:
+    """Blocks (trials, 2, m, n) of comps (2, n1, ..., nk, m, n) with xis[j] in slot j.
+
+    Each trial and component is one fixed-shape vector-matrix product per
+    slot, so its result does not depend on how many trials are stacked.
+    """
+    blocks = comps[None]
+    for xi in xis:
+        flat = blocks.reshape(blocks.shape[:3] + (-1,))
+        blocks = (xi[:, :, None, :] @ flat).reshape(xi.shape[:2] + blocks.shape[3:])
+    return blocks
+
+
+def _trial_sigmas(
+    comps: np.ndarray, trials: int, seed: int, unit_components: bool = False
+) -> np.ndarray:
+    """Top singular value of each trial's two C+C blocks, as a (trials, 2) array.
+
+    comps holds the two complex components of the tensor with the sampled
+    slots leading. Trials run in chunks whose first contraction, the
+    largest intermediate array, stays within TRIAL_CHUNK_BYTES.
+    """
+    sampled = comps.shape[1:-2]
+    chunk = max(1, TRIAL_CHUNK_BYTES // (32 * math.prod(comps.shape[2:])))
+    sigmas = np.empty((trials, 2))
+    for start in range(0, trials, chunk):
+        stop = min(trials, start + chunk)
+        blocks = _contract_batch(comps, _cc_draws(sampled, start, stop, seed, unit_components))
+        sigmas[start:stop] = np.linalg.svd(blocks, compute_uv=False)[..., 0]
+    return sigmas
+
+
+def _sorted_tensor(form: MultilinearForm) -> np.ndarray:
+    perm = _slot_order(form.dims)
+    return np.transpose(form.tensor.data, perm + [form.order])
+
+
+def form_trial_values(form: MultilinearForm, trials: int, seed: int) -> np.ndarray:
+    """Value of every independent trial, as a (trials,) array.
 
     Slots are processed in nondecreasing dimension order: the d-2 smallest
-    are sampled on their spheres and the two largest are solved exactly; the
-    yielded vectors are mapped back to the original slot order. For d = 2
-    the problem is solved exactly once.
+    are sampled on their spheres and the two largest are solved exactly, so
+    a trial's value is max(sigma_1(A1), sigma_1(A2)) of its contracted
+    C+C blocks. For d = 2 the problem is solved exactly once and the array
+    has one entry.
     """
     d = form.order
     if d < 2:
         raise ValueError("form must have order at least 2")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if d == 2:
-        sol = solve_bilinear(CQMatrix(form.tensor.data))
-        yield 0, sol.value, [sol.x, sol.y], sol.degenerate
-        return
-    perm = np.argsort(form.dims, kind="stable")
-    sorted_dims = [form.dims[s] for s in perm]
-    sorted_data = np.transpose(form.tensor.data, axes=list(perm) + [d])
-    sorted_form = MultilinearForm(CQTensor(sorted_data))
-    for t in range(trials):
-        src = RandomSource(seed, stream=t)
-        xis = [src.sphere_vector(sorted_dims[k]) for k in range(d - 2)]
-        A = sorted_form.contract_pair(xis, (d - 2, d - 1))
-        sol = solve_bilinear(A)
-        ordered: list[CQVector | None] = [None] * d
-        for k, slot in enumerate(perm):
-            ordered[slot] = (xis + [sol.x, sol.y])[k]
-        yield t, sol.value, ordered, sol.degenerate
+    comps = np.stack(cc_split(_sorted_tensor(form)))
+    return _trial_sigmas(comps, trials if d > 2 else 1, seed).max(axis=1)
 
 
 def maximize_form(
@@ -152,24 +210,32 @@ def maximize_form(
     gamma: float | None = None,
     upper_bound: float | None = None,
 ) -> SolveReport:
-    """Best-of-k randomized maximization of Re F on the product of spheres."""
-    best: tuple[int, float, list[CQVector], bool] | None = None
-    total = 0
-    for t, value, vectors, degenerate in form_trial_values(form, trials, seed):
-        total = t + 1
-        if best is None or value > best[1]:
-            best = (t, value, vectors, degenerate)
-    assert best is not None
+    """Best-of-k randomized maximization of Re F on the product of spheres.
+
+    The first trial of largest value wins. Its draws are replayed and its
+    bilinear problem is solved in full for the vectors; the objective is the
+    winner's batch value, the same number form_trial_values reports.
+    """
+    values = form_trial_values(form, trials, seed)
+    best = int(np.argmax(values))
+    d = form.order
+    perm = _slot_order(form.dims)
+    src = RandomSource(seed, stream=best)
+    xis = [src.sphere_vector(form.dims[s]) for s in perm[:-2]]
+    sorted_form = MultilinearForm(CQTensor(_sorted_tensor(form)))
+    sol = solve_bilinear(sorted_form.contract_pair(xis, (d - 2, d - 1)))
+    by_order = xis + [sol.x, sol.y]
+    solution = [by_order[k] for k in np.argsort(perm)]
     ratio = form_ratio_bound(form.dims, gamma) if gamma is not None else None
     return SolveReport(
-        solution=best[2],
-        objective=best[1],
-        trials=total,
-        best_trial=best[0],
+        solution=solution,
+        objective=float(values[best]),
+        trials=len(values),
+        best_trial=best,
         seed=seed,
         theoretical_ratio=ratio,
         upper_bound=upper_bound,
-        degenerate=best[3],
+        degenerate=sol.degenerate,
     )
 
 
@@ -292,40 +358,34 @@ def _hopm(data: np.ndarray, xs: list[np.ndarray]) -> tuple[float, list[np.ndarra
 
 def _randomized_starts(
     comps: Sequence[np.ndarray], trials: int, seed: int
-) -> list[tuple[float, int, list[np.ndarray]]]:
-    """Best start (|f|, trial, unit vectors) of the randomized scheme per component.
+) -> list[tuple[int, list[np.ndarray]]]:
+    """Best start (trial, unit vectors) of the randomized scheme per component.
 
     Trial t draws one quaternion sphere vector from RandomSource(seed, t)
     for each of the d-2 smallest slots, exactly as form_trial_values does;
     each component uses its own normalized C+C part of the draw, and the two
-    remaining slots are solved exactly by the top singular pair. For d = 2
-    the single exact solve is trial 0.
+    remaining slots are solved exactly by the top singular pair. All trials
+    are valued in one batch; only each component's first best trial is
+    redrawn and given singular vectors. For d = 2 the single exact solve is
+    trial 0.
     """
     d = comps[0].ndim
     dims = comps[0].shape
-    sampled = [int(s) for s in np.argsort(dims, kind="stable")[: d - 2]]
+    sampled = _slot_order(dims)[: d - 2]
     free = sorted(set(range(d)) - set(sampled))
-    moved = [np.moveaxis(c, sampled, list(range(d - 2))) for c in comps]
-    best: list[tuple[float, int, list[np.ndarray]]] = [(-1.0, 0, []), (-1.0, 0, [])]
-    for t in range(trials if d > 2 else 1):
-        src = RandomSource(seed, stream=t)
-        draws = [cc_split(src.sphere_vector(dims[s]).data) for s in sampled]
-        for c in (0, 1):
-            xis = []
-            for draw in draws:
-                norm = float(np.linalg.norm(draw[c]))
-                xis.append(draw[c] / norm if norm > 0.0 else draw[c])
-            M = moved[c]
-            for xi in xis:
-                M = np.tensordot(xi, M, axes=([0], [0]))
-            U, sigmas, Vh = np.linalg.svd(M)
-            if sigmas[0] > best[c][0]:
-                xs: list[np.ndarray] = [np.empty(0)] * d
-                for slot, xi in zip(sampled, xis):
-                    xs[slot] = xi
-                xs[free[0]], xs[free[1]] = U[:, 0].conj(), Vh[0].conj()
-                best[c] = (float(sigmas[0]), t, xs)
-    return best
+    moved = np.stack([np.moveaxis(c, sampled, list(range(d - 2))) for c in comps])
+    sampled_dims = [dims[s] for s in sampled]
+    sigmas = _trial_sigmas(moved, trials if d > 2 else 1, seed, unit_components=True)
+    starts = []
+    for c, t in enumerate(np.argmax(sigmas, axis=0)):
+        xis = _cc_draws(sampled_dims, int(t), int(t) + 1, seed, unit_components=True)
+        U, _, Vh = np.linalg.svd(_contract_batch(moved, xis)[0, c])
+        xs: list[np.ndarray] = [np.empty(0)] * d
+        for slot, xi in zip(sampled, xis):
+            xs[slot] = xi[0, c]
+        xs[free[0]], xs[free[1]] = U[:, 0].conj(), Vh[0].conj()
+        starts.append((int(t), xs))
+    return starts
 
 
 def best_rank_one(tensor: CQTensor, trials: int, seed: int) -> RankOneResult:
@@ -350,7 +410,7 @@ def best_rank_one(tensor: CQTensor, trials: int, seed: int) -> RankOneResult:
     comps = cc_split(tensor.data)
     starts = _randomized_starts(comps, trials, seed)
     scales, directions = [], []
-    for comp, (_, _, xs) in zip(comps, starts):
+    for comp, (_, xs) in zip(comps, starts):
         scale, xs = _hopm(comp, xs)
         scales.append(scale)
         directions.append([x.conj() for x in xs])
@@ -370,7 +430,7 @@ def best_rank_one(tensor: CQTensor, trials: int, seed: int) -> RankOneResult:
         direct_residual=direct,
         identity_gap=identity_gap,
         trials=trials if d > 2 else 1,
-        best_trial=starts[int(np.argmax(s))][1],
+        best_trial=starts[int(np.argmax(s))][0],
         seed=seed,
     )
 

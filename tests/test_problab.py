@@ -9,6 +9,7 @@ from cqpoly import (
     check_chi_square_tail,
     estimate_tail_prob,
 )
+from cqpoly.sampling import RandomSource
 
 
 def test_tail_probability_is_positive():
@@ -118,3 +119,22 @@ def test_bound_curves_values():
     assert rows[0].bound_improved == pytest.approx(10 ** (-3.5) / math.sqrt(math.log(10)))
     with pytest.raises(ValueError):
         bound_curves([1], gamma=1.0, delta=1.0)
+
+
+class _FirstBatch(Exception):
+    pass
+
+
+def test_tail_batch_is_sized_by_bytes(monkeypatch):
+    # record the first batch the probe asks for and stop before drawing it
+    shapes = []
+
+    def first_batch(self, shape):
+        shapes.append(shape)
+        raise _FirstBatch
+
+    monkeypatch.setattr(RandomSource, "normals", first_batch)
+    for n in (32, 2000):
+        with pytest.raises(_FirstBatch):
+            estimate_tail_prob(n, 0.5, samples=1 << 20, seed=0)
+    assert shapes == [(1 << 16, 32, 4), (1048, 2000, 4)]

@@ -98,3 +98,13 @@ def test_vector_type():
     v = RandomSource(0).sphere_vector(3)
     assert isinstance(v, CQVector)
     assert len(v) == 3
+
+
+def test_sphere_vector_wraps_sphere_array():
+    src_a, src_v = RandomSource(9, stream=4), RandomSource(9, stream=4)
+    for n in (1, 3, 7):
+        raw = src_a.sphere_array(n)
+        assert raw.shape == (n, 4)
+        assert np.array_equal(src_v.sphere_vector(n).data, raw)
+    with pytest.raises(ValueError):
+        src_a.sphere_array(0)

@@ -15,8 +15,10 @@ from cqpoly import (
     all_ones_instance,
     best_rank_one,
     cc_join,
+    cc_split,
     estimate_ball_min,
     form_ratio_bound,
+    form_trial_values,
     maximize_form,
     maximize_poly,
     outer_product,
@@ -24,14 +26,20 @@ from cqpoly import (
     re_bilinear,
     real_block,
     solve_bilinear,
+    symmetrize,
 )
+from cqpoly import solvers
+from cqpoly.experiment import ExperimentConfig, run_experiment, run_seed_for
 from cqpoly.sampling import RandomSource
 
-rng = np.random.default_rng(90210)
+
+@pytest.fixture
+def rng():
+    return np.random.default_rng(90210)
 
 
-def rand_matrix(m, n, scale=1.0):
-    return CQMatrix(scale * rng.uniform(-1, 1, size=(m, n, 4)))
+def rand_matrix(rng, m, n):
+    return CQMatrix(rng.uniform(-1, 1, size=(m, n, 4)))
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 4)])
@@ -49,18 +57,18 @@ def test_bilinear_scalar_units():
     assert solve_bilinear(CQMatrix.from_quats([[CQuat(0, 1)]])).value == pytest.approx(1.0, abs=1e-10)
 
 
-def test_bilinear_matches_svd_oracle():
+def test_bilinear_matches_svd_oracle(rng):
     for _ in range(30):
         m, n = (int(v) for v in rng.integers(1, 5, size=2))
-        A = rand_matrix(m, n)
+        A = rand_matrix(rng, m, n)
         sol = solve_bilinear(A)
         oracle = np.linalg.svd(real_block(A).data, compute_uv=False)[0]
         assert sol.value == pytest.approx(oracle, abs=1e-8)
         assert re_bilinear(sol.x, A, sol.y) == pytest.approx(sol.value, abs=1e-8)
 
 
-def test_bilinear_dominates_random_feasible_pairs():
-    A = rand_matrix(3, 2)
+def test_bilinear_dominates_random_feasible_pairs(rng):
+    A = rand_matrix(rng, 3, 2)
     sol = solve_bilinear(A)
     src = RandomSource(11)
     for _ in range(200):
@@ -127,7 +135,7 @@ def test_maximize_form_d2_is_exact_and_trial_free():
         assert report.objective == exact.value
 
 
-def test_maximize_form_d2_dominates_feasible_pairs():
+def test_maximize_form_d2_dominates_feasible_pairs(rng):
     form = MultilinearForm(CQTensor(rng.uniform(-1, 1, size=(3, 3, 4))))
     report = maximize_form(form, 1, seed=0)
     src = RandomSource(23)
@@ -144,7 +152,7 @@ def test_maximize_form_benchmark_window():
     assert upper == pytest.approx(4 * math.sqrt(2))
 
 
-def test_maximize_form_consistency_and_feasibility():
+def test_maximize_form_consistency_and_feasibility(rng):
     form = MultilinearForm(CQTensor(rng.uniform(-1, 1, size=(2, 3, 2, 4))))
     report = maximize_form(form, 50, seed=9)
     for vec in report.solution:
@@ -153,13 +161,13 @@ def test_maximize_form_consistency_and_feasibility():
     assert 0 <= report.best_trial < 50
 
 
-def test_maximize_form_monotone_in_trials():
+def test_maximize_form_monotone_in_trials(rng):
     form = MultilinearForm(CQTensor(rng.uniform(-1, 1, size=(2, 2, 3, 4))))
     values = [maximize_form(form, k, seed=123).objective for k in (1, 2, 5, 10, 25, 60)]
     assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
 
-def test_maximize_form_validation():
+def test_maximize_form_validation(rng):
     form = MultilinearForm(CQTensor(rng.uniform(-1, 1, size=(2, 2, 2, 4))))
     with pytest.raises(ValueError):
         maximize_form(form, 0, seed=1)
@@ -168,12 +176,104 @@ def test_maximize_form_validation():
         maximize_form(order_one, 5, seed=1)
 
 
-def test_maximize_form_slot_permutation_restores_order():
+def test_maximize_form_slot_permutation_restores_order(rng):
     # slots with unequal dims get sorted internally; outputs must match slots
     form = MultilinearForm(CQTensor(rng.uniform(-1, 1, size=(4, 2, 3, 4))))
     report = maximize_form(form, 20, seed=31)
     assert [len(v) for v in report.solution] == [4, 2, 3]
     assert form(*report.solution).re == pytest.approx(report.objective, abs=1e-9)
+
+
+def per_trial_values(form, trials, seed):
+    # the trial loop one trial at a time: quaternion contract_pair, then solve_bilinear
+    d = form.order
+    perm = [int(s) for s in np.argsort(form.dims, kind="stable")]
+    sorted_form = MultilinearForm(CQTensor(np.transpose(form.tensor.data, perm + [d])))
+    values = []
+    for t in range(trials):
+        src = RandomSource(seed, stream=t)
+        xis = [src.sphere_vector(form.dims[s]) for s in perm[: d - 2]]
+        values.append(solve_bilinear(sorted_form.contract_pair(xis, (d - 2, d - 1))).value)
+    return np.array(values)
+
+
+def test_batched_values_match_per_trial_solves():
+    g = np.random.default_rng(11)
+    forms = [
+        MultilinearForm(CQTensor(g.uniform(-1, 1, size=shape + (4,))))
+        for shape in [(4, 2, 3), (3, 5, 2, 4), (2, 4, 3, 2, 3)]
+    ]
+    poly = PolyProblem(4, 3)
+    for _ in range(8):
+        poly.add_term(g.integers(1, 4, size=4), CQuat(*g.uniform(-1, 1, 4)))
+    forms.append(symmetrize(poly))
+    for form in forms:
+        batched = form_trial_values(form, 40, seed=17)
+        reference = per_trial_values(form, 40, seed=17)
+        assert batched.shape == (40,)
+        np.testing.assert_allclose(batched, reference, rtol=1e-12, atol=0)
+
+
+def test_trial_values_do_not_depend_on_count_or_chunking(monkeypatch):
+    form = MultilinearForm(CQTensor(np.random.default_rng(12).uniform(-1, 1, size=(3, 2, 4, 4))))
+    first = form_trial_values(form, 10, seed=5)
+    # a chunk of 3 trials, so 25 trials cross several chunk boundaries
+    monkeypatch.setattr(solvers, "TRIAL_CHUNK_BYTES", 3 * 32 * 3 * 4)
+    chunked = form_trial_values(form, 25, seed=5)
+    assert np.array_equal(chunked[:10], first)
+    monkeypatch.undo()
+    assert np.array_equal(form_trial_values(form, 25, seed=5), chunked)
+
+
+def test_maximize_form_agrees_with_experiment_checkpoint():
+    config = ExperimentConfig(n_list=(4,), trial_schedule=(1, 7, 60), runs=1, seed=21)
+    rows = run_experiment(config)
+    form, _ = all_ones_instance(4, 4, 4)
+    seed = run_seed_for(config.seed, 4, 1)
+    for row in rows:
+        report = maximize_form(form, row.trials, seed)
+        assert report.objective == row.objective
+        assert form(*report.solution).re == pytest.approx(report.objective, abs=1e-9)
+
+
+def test_maximize_form_zero_tensor_is_degenerate():
+    form = MultilinearForm(CQTensor.zeros((2, 3, 2)))
+    assert np.array_equal(form_trial_values(form, 5, seed=1), np.zeros(5))
+    report = maximize_form(form, 5, seed=1)
+    assert report.objective == 0.0
+    assert report.degenerate
+    assert report.best_trial == 0
+    assert all(v.norm() == pytest.approx(1.0) for v in report.solution)
+
+
+def per_trial_starts(tensor, trials, seed):
+    # (sigma, trial) of each C+C component's first best trial, one trial at a time
+    comps = cc_split(tensor.data)
+    d = tensor.order
+    sampled = [int(s) for s in np.argsort(tensor.dims, kind="stable")[: d - 2]]
+    best = [(-1.0, 0), (-1.0, 0)]
+    for t in range(trials):
+        src = RandomSource(seed, stream=t)
+        draws = [cc_split(src.sphere_vector(tensor.dims[s]).data) for s in sampled]
+        for c in (0, 1):
+            M = np.moveaxis(comps[c], sampled, list(range(d - 2)))
+            for draw in draws:
+                M = np.tensordot(draw[c] / np.linalg.norm(draw[c]), M, axes=([0], [0]))
+            sigma = np.linalg.svd(M, compute_uv=False)[0]
+            if sigma > best[c][0]:
+                best[c] = (sigma, t)
+    return best
+
+
+def test_rank_one_start_trials_match_per_trial_reference():
+    g = np.random.default_rng(13)
+    for shape in [(3, 4, 2), (2, 3, 2, 3)]:
+        tensor = CQTensor(g.uniform(-1, 1, size=shape + (4,)))
+        reference = per_trial_starts(tensor, 60, seed=3)
+        starts = solvers._randomized_starts(cc_split(tensor.data), 60, seed=3)
+        assert [t for t, _ in starts] == [t for _, t in reference]
+        result = best_rank_one(tensor, 60, seed=3)
+        assert result.best_trial in [t for _, t in reference]
 
 
 def cube_objective_oracle():
@@ -222,7 +322,7 @@ def test_maximize_poly_zero_is_degenerate():
     assert report.solution[0].norm() == pytest.approx(1.0)
 
 
-def test_odd_degree_sign_symmetry():
+def test_odd_degree_sign_symmetry(rng):
     for _ in range(30):
         d = int(rng.choice([3, 5]))
         n = int(rng.integers(1, 4))
@@ -237,7 +337,7 @@ def _re_h(poly, vec):
     return poly(vec).re
 
 
-def test_odd_sign_search_matches_independent_enumeration():
+def test_odd_sign_search_matches_independent_enumeration(rng):
     poly = PolyProblem(3, 2)
     for _ in range(5):
         poly.add_term(rng.integers(1, 3, size=3), CQuat(*rng.uniform(-1, 1, 4)))
@@ -254,7 +354,7 @@ def test_odd_sign_search_matches_independent_enumeration():
     assert best > -np.inf
 
 
-def test_even_sign_search_matches_independent_enumeration():
+def test_even_sign_search_matches_independent_enumeration(rng):
     poly = PolyProblem(4, 2)
     for _ in range(5):
         poly.add_term(rng.integers(1, 3, size=4), CQuat(*rng.uniform(-1, 1, 4)))
