@@ -21,7 +21,7 @@ import click
 
 from .experiment import ExperimentConfig, render_csv, render_markdown, run_experiment, summarize
 from .forms import MultilinearForm
-from .io import ParseError, read_poly, read_tensor
+from .io import read_poly, read_tensor
 from .linalg import CQVector
 from .problab import estimate_tail_prob
 from .solvers import SolveReport, best_rank_one, estimate_ball_min, maximize_form, maximize_poly
@@ -31,6 +31,13 @@ PROB_CSV_HEADER = "n,gamma,delta,samples,threshold,empirical_prob,bound45,bound_
 
 def _fail(exc: Exception) -> None:
     raise click.ClickException(str(exc))
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        _fail(exc)
 
 
 def _timestamp() -> str:
@@ -96,11 +103,11 @@ def solve_f(tensor_path, trials, seed, gamma, out_path, deterministic):
     try:
         tensor = read_tensor(tensor_path)
         report = maximize_form(MultilinearForm(tensor), trials, seed, gamma=gamma)
-    except (ParseError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         _fail(exc)
     _echo_report(report)
     if out_path:
-        Path(out_path).write_text(_report_csv(report, gamma, deterministic), encoding="utf-8")
+        _write(out_path, _report_csv(report, gamma, deterministic))
 
 
 @main.command("solve-p")
@@ -116,13 +123,13 @@ def solve_p(poly_path, trials, seed, gamma, estimate_min, out_path, deterministi
     try:
         poly = read_poly(poly_path)
         report = maximize_poly(poly, trials, seed, gamma=gamma)
-    except (ParseError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         _fail(exc)
     _echo_report(report)
     if estimate_min:
         click.echo(f"ball minimum upper estimate: {estimate_ball_min(poly, trials, seed)!r}")
     if out_path:
-        Path(out_path).write_text(_report_csv(report, gamma, deterministic), encoding="utf-8")
+        _write(out_path, _report_csv(report, gamma, deterministic))
 
 
 @main.command("rank-one")
@@ -134,7 +141,7 @@ def rank_one(tensor_path, trials, seed):
     try:
         tensor = read_tensor(tensor_path)
         result = best_rank_one(tensor, trials, seed)
-    except (ParseError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         _fail(exc)
     click.echo(f"lambda: {result.lam!r}")
     click.echo(f"residual (norm formula): {result.residual!r}")
@@ -176,7 +183,7 @@ def experiment(n_list, trial_schedule, runs, seed, out_path, fmt, deterministic)
     rows = run_experiment(config)
     rendered = render_csv(rows, deterministic) if fmt == "csv" else render_markdown(rows, config)
     if out_path:
-        Path(out_path).write_text(rendered, encoding="utf-8")
+        _write(out_path, rendered)
         stats = summarize(rows)
         last = max(config.trial_schedule)
         for n in config.n_list:
@@ -221,7 +228,7 @@ def prob_check(n, gamma, delta, samples, seed, out_path, deterministic):
     )
     rendered = "\n".join(lines) + "\n"
     if out_path:
-        Path(out_path).write_text(rendered, encoding="utf-8")
+        _write(out_path, rendered)
         click.echo(f"empirical probability: {probe.empirical_prob!r}")
         click.echo(f"wrote {out_path}")
     else:

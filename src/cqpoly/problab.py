@@ -60,6 +60,11 @@ class BoundCurveRow:
     bound_improved: float
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def _batches(samples: int, sample_bytes: int):
     """(stream, size) of each batch when one sample's draws take sample_bytes."""
     batch = max(1, min(BATCH_SIZE, BATCH_BYTES // sample_bytes))
@@ -88,8 +93,9 @@ def estimate_tail_prob(
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_positive("gamma", gamma)
+    if delta is not None:
+        _check_positive("delta", delta)
     if gamma * math.log(n) >= n:
         raise ValueError(f"hypothesis gamma * ln n < n violated: {gamma * math.log(n):g} >= {n}")
     if samples < 1000:
@@ -116,8 +122,6 @@ def estimate_tail_prob(
     bound45 = n ** (-4.5 * gamma) / math.sqrt(math.log(n))
     improved = None
     if delta is not None:
-        if delta <= 0:
-            raise ValueError("delta must be positive")
         improved = n ** (-(2 + delta + delta**2 / 2) * gamma) / math.sqrt(math.log(n))
     return ProbeResult(
         n=n,
@@ -138,8 +142,7 @@ def check_chi_square_tail(t: float, b, samples: int, seed: int) -> ChiSquareTail
     how often z >= 2|b|sqrt(t) + 2 max(b) t; the bound is exp(-t) and the
     slack is four Monte Carlo standard errors of the bound.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_positive("t", t)
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 1 or b.size == 0:
         raise ValueError("b must be a nonempty vector")
@@ -165,10 +168,8 @@ def bound_curves(n_range, gamma: float, delta: float) -> list[BoundCurveRow]:
     Emits n^(-4.5 gamma)/sqrt(ln n) next to
     n^(-(2 + delta + delta^2/2) gamma)/sqrt(ln n) for plotting or tabulation.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_positive("gamma", gamma)
+    _check_positive("delta", delta)
     improved_exp = (2 + delta + delta**2 / 2) * gamma
     rows = []
     for n in n_range:

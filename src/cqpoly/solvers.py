@@ -17,10 +17,12 @@ m, n) blocks of the remaining bilinear problems, and valued by one batched
 call for the top singular values, without singular vectors. Only the
 winning trial is then redrawn and solved in full by solve_bilinear.
 
-Determinism contract: trial t draws only from RandomSource(seed, stream=t),
-in slot order, and its value is computed by arithmetic of fixed shape, so
-it depends only on (seed, t), not on the trial count or the chunking. The
-best-of-k value is therefore nondecreasing in k for a fixed seed.
+Determinism contract: trial t's draws are, bit for bit, those of
+RandomSource(seed, stream=t) taken in slot order; sphere_draws produces
+them for a whole chunk of trials at once. A trial's value is computed by
+arithmetic of fixed shape, so it depends only on (seed, t), not on the
+trial count or the chunking. The best-of-k value is therefore
+nondecreasing in k for a fixed seed.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .forms import MultilinearForm, PolyProblem, symmetrize
 from .linalg import CQMatrix, CQTensor, CQVector, cc_join, cc_split, outer_product
-from .sampling import RandomSource
+from .sampling import sphere_draws
 
 DEGENERATE_NORM = 1e-12
 HOPM_MAX_SWEEPS = 500
@@ -132,15 +134,11 @@ def _cc_draws(
     """C+C parts, each (stop - start, 2, n), of the sphere draws of trials start..stop-1.
 
     Trial t draws one quaternion sphere vector per entry of dims, in order,
-    from RandomSource(seed, stream=t). With unit_components each complex
-    component is normalized on its own (a zero component is left as is).
+    exactly as RandomSource(seed, stream=t) would (see sphere_draws). With
+    unit_components each complex component is normalized on its own (a zero
+    component is left as is).
     """
-    raw = [np.empty((stop - start, n, 4)) for n in dims]
-    for row, t in enumerate(range(start, stop)):
-        src = RandomSource(seed, stream=t)
-        for out, n in zip(raw, dims):
-            out[row] = src.sphere_array(n)
-    draws = [np.stack(cc_split(r), axis=1) for r in raw]
+    draws = [np.stack(cc_split(r), axis=1) for r in sphere_draws(seed, start, stop, dims)]
     if unit_components:
         for draw in draws:
             norms = np.linalg.norm(draw, axis=-1, keepdims=True)
@@ -220,8 +218,8 @@ def maximize_form(
     best = int(np.argmax(values))
     d = form.order
     perm = _slot_order(form.dims)
-    src = RandomSource(seed, stream=best)
-    xis = [src.sphere_vector(form.dims[s]) for s in perm[:-2]]
+    sampled = [form.dims[s] for s in perm[:-2]]
+    xis = [CQVector(draw[0]) for draw in sphere_draws(seed, best, best + 1, sampled)]
     sorted_form = MultilinearForm(CQTensor(_sorted_tensor(form)))
     sol = solve_bilinear(sorted_form.contract_pair(xis, (d - 2, d - 1)))
     by_order = xis + [sol.x, sol.y]
@@ -361,8 +359,8 @@ def _randomized_starts(
 ) -> list[tuple[int, list[np.ndarray]]]:
     """Best start (trial, unit vectors) of the randomized scheme per component.
 
-    Trial t draws one quaternion sphere vector from RandomSource(seed, t)
-    for each of the d-2 smallest slots, exactly as form_trial_values does;
+    Trial t draws one quaternion sphere vector for each of the d-2 smallest
+    slots, as RandomSource(seed, t) would and exactly as form_trial_values does;
     each component uses its own normalized C+C part of the draw, and the two
     remaining slots are solved exactly by the top singular pair. All trials
     are valued in one batch; only each component's first best trial is

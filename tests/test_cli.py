@@ -193,3 +193,38 @@ def test_prob_check_outputs_csv(tmp_path, runner):
 def test_prob_check_rejects_bad_hypothesis(runner):
     result = runner.invoke(main, ["prob-check", "--n", "2", "--gamma", "4.0"])
     assert result.exit_code != 0
+
+
+def test_prob_check_rejects_nan_gamma(runner):
+    result = runner.invoke(main, ["prob-check", "--n", "3", "--gamma", "nan", "--samples", "1000"])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error:") and "finite" in result.output
+
+
+@pytest.mark.parametrize("command", ["solve-f", "solve-p", "experiment", "prob-check"])
+def test_unwritable_out_is_a_one_line_error(tmp_path, runner, command):
+    tensor = write(tmp_path / "m.cqt", "CQT1\norder 2\ndims 1 1\n1 1 1.0 0.0 0.0 0.0\n")
+    poly = write(tmp_path / "p.cqp", "CQP1\ndegree 2\ndim 1\n1 1 1.0 0.0 0.0 0.0\n")
+    args = {
+        "solve-f": ["--tensor", tensor, "--trials", "2"],
+        "solve-p": ["--poly", poly, "--trials", "2"],
+        "experiment": ["--n-list", "2", "--trial-schedule", "1", "--runs", "1"],
+        "prob-check": ["--n", "3", "--gamma", "0.5", "--samples", "1000"],
+    }[command]
+    out = tmp_path / "missing" / "x.csv"
+    result = runner.invoke(main, [command, *args, "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    last = result.output.splitlines()[-1]
+    assert last.startswith("Error:") and str(out) in last
+
+
+def test_unreadable_input_is_a_one_line_error(tmp_path, runner, monkeypatch):
+    def denied(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr("cqpoly.cli.read_tensor", denied)
+    path = write(tmp_path / "m.cqt", "CQT1\norder 2\ndims 1 1\n")
+    result = runner.invoke(main, ["solve-f", "--tensor", path])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error:") and "Permission denied" in result.output

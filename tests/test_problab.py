@@ -66,6 +66,11 @@ def test_tail_probability_validation():
         estimate_tail_prob(5, 0.5, samples=10_000, seed=0, a=CQVector.basis(4, 0))
     with pytest.raises(ValueError):
         estimate_tail_prob(5, 0.5, samples=10_000, seed=0, delta=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_tail_prob(3, bad, samples=1000, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            estimate_tail_prob(3, 0.5, samples=1000, seed=0, delta=bad)
 
 
 def test_improved_bound_attached_with_delta():
@@ -138,3 +143,22 @@ def test_tail_batch_is_sized_by_bytes(monkeypatch):
         with pytest.raises(_FirstBatch):
             estimate_tail_prob(n, 0.5, samples=1 << 20, seed=0)
     assert shapes == [(1 << 16, 32, 4), (1048, 2000, 4)]
+
+
+def test_tail_parameters_are_checked_before_sampling(monkeypatch):
+    def no_draws(self, shape):
+        raise _FirstBatch
+
+    monkeypatch.setattr(RandomSource, "normals", no_draws)
+    for delta in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="delta"):
+            estimate_tail_prob(5, 0.5, samples=1000, seed=0, delta=delta)
+
+
+def test_non_finite_parameters_rejected():
+    with pytest.raises(ValueError):
+        check_chi_square_tail(math.nan, [1.0], samples=100, seed=0)
+    with pytest.raises(ValueError):
+        bound_curves([3], gamma=math.nan, delta=1.0)
+    with pytest.raises(ValueError):
+        bound_curves([3], gamma=1.0, delta=math.inf)
