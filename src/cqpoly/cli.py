@@ -14,18 +14,19 @@ and seed; a timestamp comment is prepended unless --deterministic is given.
 
 from __future__ import annotations
 
-import datetime as _dt
-from pathlib import Path
+from dataclasses import astuple
 
 import click
 
 from .experiment import ExperimentConfig, render_csv, render_markdown, run_experiment, summarize
 from .forms import MultilinearForm
-from .io import read_poly, read_tensor
+from .io import csv_text, read_poly, read_tensor
 from .linalg import CQVector
 from .problab import estimate_tail_prob
 from .solvers import SolveReport, best_rank_one, estimate_ball_min, maximize_form, maximize_poly
 
+REPORT_CSV_HEADER = "objective,trials,best_trial,seed,gamma,theoretical_ratio,upper_bound,degenerate"
+# The fields of ProbeResult, in order.
 PROB_CSV_HEADER = "n,gamma,delta,samples,threshold,empirical_prob,bound45,bound_improved"
 
 
@@ -33,15 +34,12 @@ def _fail(exc: Exception) -> None:
     raise click.ClickException(str(exc))
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text: str, mode: str = "w") -> None:
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         _fail(exc)
-
-
-def _timestamp() -> str:
-    return _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
 
 
 def _echo_vector(label: str, vec: CQVector) -> None:
@@ -65,25 +63,11 @@ def _echo_report(report: SolveReport) -> None:
 
 
 def _report_csv(report: SolveReport, gamma: float | None, deterministic: bool) -> str:
-    lines = []
-    if not deterministic:
-        lines.append(f"# generated {_timestamp()}")
-    lines.append("objective,trials,best_trial,seed,gamma,theoretical_ratio,upper_bound,degenerate")
-    lines.append(
-        ",".join(
-            [
-                repr(report.objective),
-                str(report.trials),
-                str(report.best_trial),
-                str(report.seed),
-                "" if gamma is None else repr(gamma),
-                "" if report.theoretical_ratio is None else repr(report.theoretical_ratio),
-                "" if report.upper_bound is None else repr(report.upper_bound),
-                str(report.degenerate).lower(),
-            ]
-        )
+    row = (
+        report.objective, report.trials, report.best_trial, report.seed,
+        gamma, report.theoretical_ratio, report.upper_bound, report.degenerate,
     )
-    return "\n".join(lines) + "\n"
+    return csv_text(REPORT_CSV_HEADER, [row], deterministic)
 
 
 @click.group()
@@ -103,7 +87,7 @@ def solve_f(tensor_path, trials, seed, gamma, out_path, deterministic):
     try:
         tensor = read_tensor(tensor_path)
         report = maximize_form(MultilinearForm(tensor), trials, seed, gamma=gamma)
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         _fail(exc)
     _echo_report(report)
     if out_path:
@@ -123,7 +107,7 @@ def solve_p(poly_path, trials, seed, gamma, estimate_min, out_path, deterministi
     try:
         poly = read_poly(poly_path)
         report = maximize_poly(poly, trials, seed, gamma=gamma)
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         _fail(exc)
     _echo_report(report)
     if estimate_min:
@@ -141,7 +125,7 @@ def rank_one(tensor_path, trials, seed):
     try:
         tensor = read_tensor(tensor_path)
         result = best_rank_one(tensor, trials, seed)
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         _fail(exc)
     click.echo(f"lambda: {result.lam!r}")
     click.echo(f"residual (norm formula): {result.residual!r}")
@@ -169,7 +153,7 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
 @click.option("--format", "fmt", default="csv", show_default=True, type=click.Choice(["csv", "markdown"]))
 @click.option("--deterministic", is_flag=True)
 def experiment(n_list, trial_schedule, runs, seed, out_path, fmt, deterministic):
-    """Ratio sweep against the proven upper bound of the all-ones instance."""
+    """Ratio sweep against the all-ones bound 2 n^(3/2), loose by sqrt(2): ratios stay <= 0.707."""
     try:
         config = ExperimentConfig(
             n_list=_parse_int_list(n_list, "--n-list"),
@@ -180,6 +164,8 @@ def experiment(n_list, trial_schedule, runs, seed, out_path, fmt, deterministic)
         )
     except ValueError as exc:
         _fail(exc)
+    if out_path:
+        _write(out_path, "", mode="a")  # an unwritable path fails now, not after the sweep
     rows = run_experiment(config)
     rendered = render_csv(rows, deterministic) if fmt == "csv" else render_markdown(rows, config)
     if out_path:
@@ -208,25 +194,7 @@ def prob_check(n, gamma, delta, samples, seed, out_path, deterministic):
         probe = estimate_tail_prob(n, gamma, samples, seed, delta=delta)
     except ValueError as exc:
         _fail(exc)
-    lines = []
-    if not deterministic:
-        lines.append(f"# generated {_timestamp()}")
-    lines.append(PROB_CSV_HEADER)
-    lines.append(
-        ",".join(
-            [
-                str(probe.n),
-                repr(probe.gamma),
-                "" if probe.delta is None else repr(probe.delta),
-                str(probe.samples),
-                repr(probe.threshold),
-                repr(probe.empirical_prob),
-                repr(probe.bound45),
-                "" if probe.bound_improved is None else repr(probe.bound_improved),
-            ]
-        )
-    )
-    rendered = "\n".join(lines) + "\n"
+    rendered = csv_text(PROB_CSV_HEADER, [astuple(probe)], deterministic)
     if out_path:
         _write(out_path, rendered)
         click.echo(f"empirical probability: {probe.empirical_prob!r}")

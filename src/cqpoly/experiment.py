@@ -3,7 +3,9 @@
 For each dimension n the harness builds the order-3 tensor whose real part
 is all ones (the other components zero); 2 sqrt(n^3) is a proven upper
 bound for the maximum of the associated form on unit spheres, so
-objective / upper bound is a conservative performance ratio. Each run
+objective / upper bound is a conservative performance ratio. The bound is
+loose by sqrt(2): the attained maximum is sqrt(2) n^(3/2), so every ratio
+in the table is at most 1/sqrt(2) = 0.707. Each run
 values its trials as one batch (see solvers.form_trial_values) and the
 running maximum is read at every scheduled trial count, which makes per-run
 ratios nondecreasing across the schedule by construction.
@@ -11,13 +13,13 @@ ratios nondecreasing across the schedule by construction.
 
 from __future__ import annotations
 
-import datetime as _dt
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .forms import MultilinearForm
+from .io import csv_text, timestamp_line
 from .linalg import CQTensor
 from .solvers import form_trial_values
 
@@ -28,7 +30,7 @@ CSV_HEADER = "n,trials,run,objective,upper_bound,ratio"
 
 
 def all_ones_instance(n1: int, n2: int, n3: int) -> tuple[MultilinearForm, float]:
-    """The benchmark form (real all-ones entries) and its proven upper bound."""
+    """The benchmark form (real all-ones entries) and its bound 2 sqrt(n1 n2 n3), loose by sqrt(2)."""
     if min(n1, n2, n3) < 1:
         raise ValueError("dimensions must be positive")
     form = MultilinearForm(CQTensor.from_real(np.ones((n1, n2, n3))))
@@ -104,21 +106,9 @@ def summarize(rows: list[ExperimentRow]) -> dict[tuple[int, int], tuple[float, f
     return {key: (sum(vals) / len(vals), min(vals)) for key, vals in grouped.items()}
 
 
-def _timestamp_line(prefix: str, suffix: str = "") -> str:
-    now = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
-    return f"{prefix}generated {now}{suffix}"
-
-
 def render_csv(rows: list[ExperimentRow], deterministic: bool = False) -> str:
-    lines = []
-    if not deterministic:
-        lines.append(_timestamp_line("# "))
-    lines.append(CSV_HEADER)
-    for row in rows:
-        lines.append(
-            f"{row.n},{row.trials},{row.run},{row.objective!r},{row.upper_bound!r},{row.ratio!r}"
-        )
-    return "\n".join(lines) + "\n"
+    cells = ((r.n, r.trials, r.run, r.objective, r.upper_bound, r.ratio) for r in rows)
+    return csv_text(CSV_HEADER, cells, deterministic)
 
 
 def render_markdown(rows: list[ExperimentRow], config: ExperimentConfig) -> str:
@@ -126,7 +116,7 @@ def render_markdown(rows: list[ExperimentRow], config: ExperimentConfig) -> str:
     stats = summarize(rows)
     lines = []
     if not config.deterministic:
-        lines.append(_timestamp_line("<!-- ", " -->"))
+        lines.append(timestamp_line("<!-- ", " -->"))
     for i in range(0, len(config.n_list), 2):
         pair = config.n_list[i : i + 2]
         title = " and ".join(f"n={n}" for n in pair)

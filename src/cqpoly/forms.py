@@ -133,10 +133,6 @@ class PolyProblem:
     def coeffs(self) -> dict[tuple[int, ...], CQuat]:
         return dict(self._coeffs)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c.components() == (0.0, 0.0, 0.0, 0.0) for c in self._coeffs.values())
-
     def __call__(self, x: CQVector) -> CQuat:
         """Direct monomial evaluation."""
         if len(x) != self.dim:

@@ -1,4 +1,4 @@
-"""Text file formats for tensors and polynomials.
+"""Text file formats for tensors and polynomials, and the CSV report writer.
 
 Tensor files (UTF-8, LF line endings):
 
@@ -10,7 +10,9 @@ Tensor files (UTF-8, LF line endings):
 Indices are 1-based; entries not listed are zero; listing the same index
 tuple twice is an error. Polynomial files replace the first three lines by
 ``CQP1``, ``degree <d>`` and ``dim <n>``, and every index tuple must be
-sorted nondecreasing; duplicate tuples sum into one coefficient.
+sorted nondecreasing; duplicate tuples sum into one coefficient. Every
+component must be finite: ``nan``, ``inf`` or a literal that overflows,
+such as ``1e999``, is a ParseError naming its line.
 
 Writers emit entries in lexicographic index order with shortest round-trip
 float representations and skip exact zeros, so parse followed by serialize
@@ -19,6 +21,8 @@ is byte-identical on canonical files.
 
 from __future__ import annotations
 
+import datetime as _dt
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -40,90 +44,100 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-def _lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line:
-            yield lineno, line
-
-
-def _parse_floats(source: str, lineno: int, tokens: list[str]) -> list[float]:
+def _numbers(source: str, lineno: int, tokens: list[str], kind: type) -> list:
+    """The tokens converted by kind (int or float); a bad token is a ParseError."""
     values = []
     for tok in tokens:
         try:
-            values.append(float(tok))
+            values.append(kind(tok))
         except ValueError:
-            raise ParseError(source, lineno, f"expected a number, got {tok!r}") from None
+            noun = "an integer" if kind is int else "a number"
+            raise ParseError(source, lineno, f"expected {noun}, got {tok!r}") from None
     return values
 
 
-def _parse_ints(source: str, lineno: int, tokens: list[str]) -> list[int]:
-    values = []
-    for tok in tokens:
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise ParseError(source, lineno, f"expected an integer, got {tok!r}") from None
-    return values
+def _keyword_line(lines, source: str, lineno: int, keyword: str, count: int) -> tuple[int, list[int]]:
+    """The next line, which must read '<keyword>' and count positive integers: its number and values."""
+    lineno, line = next(lines, (lineno + 1, None))
+    if line is None:
+        raise ParseError(source, lineno, f"missing {keyword} line")
+    tokens = line.split()
+    if len(tokens) != count + 1 or tokens[0] != keyword:
+        raise ParseError(source, lineno, f"expected {keyword!r} with {count} integer(s), got {line!r}")
+    values = _numbers(source, lineno, tokens[1:], int)
+    if min(values) < 1:
+        raise ParseError(source, lineno, f"{keyword} must be positive, got {line!r}")
+    return lineno, values
+
+
+def _read_header(text: str, source: str, magic: str, first: str, second: str, per_slot: bool):
+    """Check the magic line and the two keyword lines: d, then d integers if per_slot, else one.
+
+    Returns the iterator over the remaining nonblank (lineno, line) pairs, d
+    and the integers of the second keyword line.
+    """
+    lines = ((k, line) for k, line in enumerate(map(str.strip, text.splitlines()), start=1) if line)
+    lineno, line = next(lines, (1, None))
+    if line != magic:
+        message = "empty file" if line is None else f"expected header {magic!r}, got {line!r}"
+        raise ParseError(source, lineno, message)
+    lineno, (d,) = _keyword_line(lines, source, lineno, first, 1)
+    return lines, d, _keyword_line(lines, source, lineno, second, d if per_slot else 1)[1]
+
+
+def _read_entries(lines, source: str, sizes: list[int]):
+    """Line numbers, 1-based index tuples and (count, 4) components of the entry lines.
+
+    Index k of a line must lie in 1..sizes[k]. The components must be
+    finite, which is checked once, after the last line.
+    """
+    d = len(sizes)
+    linenos, idxs, rows = [], [], []
+    for lineno, line in lines:
+        tokens = line.split()
+        if len(tokens) != d + 4:
+            message = f"expected {d} indices and 4 components, got {len(tokens)} tokens"
+            raise ParseError(source, lineno, message)
+        idx = tuple(_numbers(source, lineno, tokens[:d], int))
+        for k, (i, n) in enumerate(zip(idx, sizes)):
+            if not 1 <= i <= n:
+                raise ParseError(source, lineno, f"index {i} out of range 1..{n} in slot {k + 1}")
+        linenos.append(lineno)
+        idxs.append(idx)
+        rows.append(_numbers(source, lineno, tokens[d:], float))
+    values = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    if not np.isfinite(values).all():
+        first = int(np.isfinite(values).all(axis=1).argmin())
+        raise ParseError(source, linenos[first], "components must be finite")
+    return linenos, idxs, values
+
+
+def _dumps(header: list[str], entries) -> str:
+    """The header lines, then one line of indices and components per entry that is not all zero."""
+    lines = header + [
+        " ".join(map(str, idx)) + " " + " ".join(map(repr, comps)) for idx, comps in entries if any(comps)
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def loads_tensor(text: str, source: str = "<string>") -> CQTensor:
-    lines = _lines(text)
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise ParseError(source, 1, "empty file") from None
-    if line != TENSOR_MAGIC:
-        raise ParseError(source, lineno, f"expected header {TENSOR_MAGIC!r}, got {line!r}")
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise ParseError(source, lineno + 1, "missing order line") from None
-    tokens = line.split()
-    if len(tokens) != 2 or tokens[0] != "order":
-        raise ParseError(source, lineno, f"expected 'order <d>', got {line!r}")
-    (order,) = _parse_ints(source, lineno, tokens[1:])
-    if order < 1:
-        raise ParseError(source, lineno, f"order must be at least 1, got {order}")
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise ParseError(source, lineno + 1, "missing dims line") from None
-    tokens = line.split()
-    if len(tokens) != order + 1 or tokens[0] != "dims":
-        raise ParseError(source, lineno, f"expected 'dims' with {order} sizes, got {line!r}")
-    dims = _parse_ints(source, lineno, tokens[1:])
-    if any(n < 1 for n in dims):
-        raise ParseError(source, lineno, f"dimensions must be positive, got {dims}")
-    data = np.zeros(tuple(dims) + (4,))
+    lines, _, dims = _read_header(text, source, TENSOR_MAGIC, "order", "dims", per_slot=True)
+    linenos, idxs, values = _read_entries(lines, source, dims)
     seen: set[tuple[int, ...]] = set()
-    for lineno, line in lines:
-        tokens = line.split()
-        if len(tokens) != order + 4:
-            raise ParseError(
-                source, lineno, f"expected {order} indices and 4 components, got {len(tokens)} tokens"
-            )
-        idx = tuple(_parse_ints(source, lineno, tokens[:order]))
-        for k, (i, n) in enumerate(zip(idx, dims)):
-            if not 1 <= i <= n:
-                raise ParseError(source, lineno, f"index {i} out of range 1..{n} in slot {k + 1}")
+    for lineno, idx in zip(linenos, idxs):
         if idx in seen:
             raise ParseError(source, lineno, f"duplicate entry for indices {' '.join(map(str, idx))}")
         seen.add(idx)
-        data[tuple(i - 1 for i in idx)] = _parse_floats(source, lineno, tokens[order:])
+    data = np.zeros(tuple(dims) + (4,))
+    if idxs:
+        data[tuple(np.array(idxs).T - 1)] = values
     return CQTensor(data)
 
 
 def dumps_tensor(tensor: CQTensor) -> str:
-    lines = [TENSOR_MAGIC, f"order {tensor.order}", "dims " + " ".join(map(str, tensor.dims))]
-    for idx in np.ndindex(*tensor.dims):
-        comps = tensor.data[idx]
-        if not comps.any():
-            continue
-        head = " ".join(str(i + 1) for i in idx)
-        tail = " ".join(repr(float(c)) for c in comps)
-        lines.append(f"{head} {tail}")
-    return "\n".join(lines) + "\n"
+    indices = itertools.product(*(range(1, n + 1) for n in tensor.dims))
+    header = [TENSOR_MAGIC, f"order {tensor.order}", "dims " + " ".join(map(str, tensor.dims))]
+    return _dumps(header, zip(indices, tensor.data.reshape(-1, 4).tolist()))
 
 
 def read_tensor(path) -> CQTensor:
@@ -136,60 +150,19 @@ def write_tensor(tensor: CQTensor, path) -> None:
 
 
 def loads_poly(text: str, source: str = "<string>") -> PolyProblem:
-    lines = _lines(text)
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise ParseError(source, 1, "empty file") from None
-    if line != POLY_MAGIC:
-        raise ParseError(source, lineno, f"expected header {POLY_MAGIC!r}, got {line!r}")
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise ParseError(source, lineno + 1, "missing degree line") from None
-    tokens = line.split()
-    if len(tokens) != 2 or tokens[0] != "degree":
-        raise ParseError(source, lineno, f"expected 'degree <d>', got {line!r}")
-    (degree,) = _parse_ints(source, lineno, tokens[1:])
-    if degree < 1:
-        raise ParseError(source, lineno, f"degree must be at least 1, got {degree}")
-    try:
-        lineno, line = next(lines)
-    except StopIteration:
-        raise ParseError(source, lineno + 1, "missing dim line") from None
-    tokens = line.split()
-    if len(tokens) != 2 or tokens[0] != "dim":
-        raise ParseError(source, lineno, f"expected 'dim <n>', got {line!r}")
-    (dim,) = _parse_ints(source, lineno, tokens[1:])
-    if dim < 1:
-        raise ParseError(source, lineno, f"dim must be at least 1, got {dim}")
+    lines, degree, (dim,) = _read_header(text, source, POLY_MAGIC, "degree", "dim", per_slot=False)
+    linenos, idxs, values = _read_entries(lines, source, [dim] * degree)
     poly = PolyProblem(degree=degree, dim=dim)
-    for lineno, line in lines:
-        tokens = line.split()
-        if len(tokens) != degree + 4:
-            raise ParseError(
-                source, lineno, f"expected {degree} indices and 4 components, got {len(tokens)} tokens"
-            )
-        idx = _parse_ints(source, lineno, tokens[:degree])
-        if any(i < 1 or i > dim for i in idx):
-            raise ParseError(source, lineno, f"indices out of range 1..{dim}: {idx}")
+    for lineno, idx, comps in zip(linenos, idxs, values.tolist()):
         if any(a > b for a, b in zip(idx, idx[1:])):
-            raise ParseError(source, lineno, f"index tuple must be sorted nondecreasing: {idx}")
-        comps = _parse_floats(source, lineno, tokens[degree:])
+            raise ParseError(source, lineno, f"index tuple must be sorted nondecreasing: {list(idx)}")
         poly.add_term(idx, CQuat(*comps))
     return poly
 
 
 def dumps_poly(poly: PolyProblem) -> str:
-    lines = [POLY_MAGIC, f"degree {poly.degree}", f"dim {poly.dim}"]
-    for idx, coeff in poly.terms():
-        comps = coeff.components()
-        if comps == (0.0, 0.0, 0.0, 0.0):
-            continue
-        head = " ".join(map(str, idx))
-        tail = " ".join(repr(float(c)) for c in comps)
-        lines.append(f"{head} {tail}")
-    return "\n".join(lines) + "\n"
+    header = [POLY_MAGIC, f"degree {poly.degree}", f"dim {poly.dim}"]
+    return _dumps(header, ((idx, coeff.components()) for idx, coeff in poly.terms()))
 
 
 def read_poly(path) -> PolyProblem:
@@ -199,3 +172,29 @@ def read_poly(path) -> PolyProblem:
 
 def write_poly(poly: PolyProblem, path) -> None:
     Path(path).write_text(dumps_poly(poly), encoding="utf-8", newline="\n")
+
+
+def timestamp_line(prefix: str, suffix: str = "") -> str:
+    """'<prefix>generated <UTC time><suffix>', the first line of a non-deterministic output."""
+    now = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
+    return f"{prefix}generated {now}{suffix}"
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def csv_text(header: str, rows, deterministic: bool) -> str:
+    """CSV text: a timestamp comment unless deterministic, the header, then one line per row.
+
+    Cells: None is empty, a bool is true/false, a float is written with
+    repr (shortest round trip) and anything else with str.
+    """
+    lines = [] if deterministic else [timestamp_line("# ")]
+    lines.append(header)
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"

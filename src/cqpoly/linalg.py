@@ -13,8 +13,9 @@ vectors in the fixed order (x0; x1; x2; x3), and maps a matrix A to the
      [ A2, -A3,  A0, -A1],
      [-A3, -A2, -A1, -A0]]
 
-so that Re(x^T A y) = vec(x)^T block(A) vec(y) for all x, y. The grid is
-kept as an independent oracle; the solvers do not use it.
+so that Re(x^T A y) = vec(x)^T block(A) vec(y) for all x, y. real_block
+returns that grid as a read-only ndarray. It is kept as an independent
+oracle; the solvers do not use it.
 
 The solvers work in C+C coordinates instead. The idempotents
 e1 = (1 + j)/2 and e2 = (1 - j)/2 split q = w + x i + y j + z k as
@@ -30,7 +31,6 @@ Tosun, AACA 2014). See :func:`cc_split` and :func:`cc_join`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -74,20 +74,38 @@ def cc_join(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     )
 
 
-def _freeze(data, ndim: int, what: str) -> np.ndarray:
+def _freeze(data, ndim: int | None, what: str) -> np.ndarray:
+    """A read-only float64 copy of data with ndim axes (None: at least 2), the last of length 4."""
     arr = np.array(data, dtype=np.float64)
-    if arr.ndim != ndim or arr.shape[-1] != 4:
-        raise ValueError(f"{what} expects shape {'x'.join(['*'] * (ndim - 1))}x4, got {arr.shape}")
+    if arr.ndim < 2 or arr.shape[-1] != 4 or ndim not in (None, arr.ndim):
+        shape = "n1x...xnd" if ndim is None else "x".join(["*"] * (ndim - 1))
+        raise ValueError(f"{what} expects shape {shape}x4, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} entries must be finite")
     arr.flags.writeable = False
     return arr
 
 
-class CQVector:
-    """Quaternion vector of length n, wrapping an (n, 4) component array."""
+class _Container:
+    """What the containers share: the read-only component array ``data``."""
 
     __slots__ = ("data",)
+
+    @classmethod
+    def from_real(cls, values):
+        values = np.asarray(values, dtype=np.float64)
+        data = np.zeros(values.shape + (4,))
+        data[..., 0] = values
+        return cls(data)
+
+    def norm(self) -> float:
+        return float(np.sqrt((self.data**2).sum()))
+
+
+class CQVector(_Container):
+    """Quaternion vector of length n, wrapping an (n, 4) component array."""
+
+    __slots__ = ()
 
     def __init__(self, data):
         self.data = _freeze(data, 2, "CQVector")
@@ -97,13 +115,6 @@ class CQVector:
     @classmethod
     def from_quats(cls, quats: Iterable[CQuat]) -> "CQVector":
         return cls([q.components() for q in quats])
-
-    @classmethod
-    def from_real(cls, values) -> "CQVector":
-        values = np.asarray(values, dtype=np.float64)
-        data = np.zeros((len(values), 4))
-        data[:, 0] = values
-        return cls(data)
 
     @classmethod
     def basis(cls, n: int, index: int) -> "CQVector":
@@ -120,17 +131,11 @@ class CQVector:
     def quats(self) -> list[CQuat]:
         return [CQuat(*row) for row in self.data]
 
-    def norm(self) -> float:
-        return float(np.sqrt((self.data**2).sum()))
-
     def unit(self) -> "CQVector":
         nrm = self.norm()
         if nrm < 1e-300:
             raise ValueError("cannot normalize a zero vector")
         return CQVector(self.data / nrm)
-
-    def conj(self) -> "CQVector":
-        return CQVector(qconj(self.data))
 
     def dot(self, other: "CQVector") -> float:
         """Real inner product Re(self^H other) = sum of componentwise dot products."""
@@ -160,10 +165,10 @@ class CQVector:
         return f"CQVector({[str(q) for q in self.quats()]})"
 
 
-class CQMatrix:
+class CQMatrix(_Container):
     """Quaternion matrix of shape (m, n), wrapping an (m, n, 4) component array."""
 
-    __slots__ = ("data",)
+    __slots__ = ()
 
     def __init__(self, data):
         self.data = _freeze(data, 3, "CQMatrix")
@@ -171,13 +176,6 @@ class CQMatrix:
     @classmethod
     def from_quats(cls, rows: Sequence[Sequence[CQuat]]) -> "CQMatrix":
         return cls([[q.components() for q in row] for row in rows])
-
-    @classmethod
-    def from_real(cls, values) -> "CQMatrix":
-        values = np.asarray(values, dtype=np.float64)
-        data = np.zeros(values.shape + (4,))
-        data[..., 0] = values
-        return cls(data)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -187,43 +185,21 @@ class CQMatrix:
         i, j = key
         return CQuat(*self.data[i, j])
 
-    def transpose(self) -> "CQMatrix":
-        return CQMatrix(self.data.transpose(1, 0, 2))
-
-    def conj(self) -> "CQMatrix":
-        return CQMatrix(qconj(self.data))
-
     def conj_transpose(self) -> "CQMatrix":
         return CQMatrix(qconj(self.data).transpose(1, 0, 2))
-
-    def norm(self) -> float:
-        return float(np.sqrt((self.data**2).sum()))
 
     def __repr__(self) -> str:
         m, n = self.shape
         return f"CQMatrix(shape=({m}, {n}))"
 
 
-class CQTensor:
+class CQTensor(_Container):
     """Dense order-d quaternion tensor, wrapping an (n1, ..., nd, 4) array."""
 
-    __slots__ = ("data",)
+    __slots__ = ()
 
     def __init__(self, data):
-        arr = np.array(data, dtype=np.float64)
-        if arr.ndim < 2 or arr.shape[-1] != 4:
-            raise ValueError(f"CQTensor expects shape n1x...xndx4, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("CQTensor entries must be finite")
-        arr.flags.writeable = False
-        self.data = arr
-
-    @classmethod
-    def from_real(cls, values) -> "CQTensor":
-        values = np.asarray(values, dtype=np.float64)
-        data = np.zeros(values.shape + (4,))
-        data[..., 0] = values
-        return cls(data)
+        self.data = _freeze(data, None, "CQTensor")
 
     @classmethod
     def zeros(cls, dims: Sequence[int]) -> "CQTensor":
@@ -244,26 +220,8 @@ class CQTensor:
             raise ValueError(f"expected {self.order} indices, got {len(idx)}")
         return CQuat(*self.data[tuple(idx)])
 
-    def norm(self) -> float:
-        return float(np.sqrt((self.data**2).sum()))
-
     def __repr__(self) -> str:
         return f"CQTensor(dims={self.dims})"
-
-
-@dataclass(frozen=True)
-class RealBlockMatrix:
-    """4m x 4n real matrix reproducing Re(x^T A y) on stacked component vectors.
-
-    Row blocks follow the (x0, x1, x2, x3) order and column blocks the
-    (y0, y1, y2, y3) order used by :func:`vec_real`.
-    """
-
-    data: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
 
 
 def inner_product(q: CQVector, p: CQVector) -> float:
@@ -283,8 +241,12 @@ def re_bilinear(x: CQVector, A: CQMatrix, y: CQVector) -> float:
     return float(s[0])
 
 
-def real_block(A: CQMatrix) -> RealBlockMatrix:
-    """Real 4m x 4n embedding of A whose bilinear form equals re_bilinear."""
+def real_block(A: CQMatrix) -> np.ndarray:
+    """Real 4m x 4n embedding of A whose bilinear form equals re_bilinear.
+
+    Row blocks follow the (x0, x1, x2, x3) order and column blocks the
+    (y0, y1, y2, y3) order used by :func:`vec_real`; the array is read-only.
+    """
     m, n = A.shape
     A0, A1, A2, A3 = (A.data[..., c] for c in range(4))
     grid = [
@@ -298,7 +260,7 @@ def real_block(A: CQMatrix) -> RealBlockMatrix:
         for bj in range(4):
             out[bi * m : (bi + 1) * m, bj * n : (bj + 1) * n] = grid[bi][bj]
     out.flags.writeable = False
-    return RealBlockMatrix(out)
+    return out
 
 
 def vec_real(x: CQVector) -> np.ndarray:
@@ -336,7 +298,3 @@ def tensor_inner(T: CQTensor, K: CQTensor) -> float:
     if T.dims != K.dims:
         raise ValueError(f"shape mismatch: {T.dims} vs {K.dims}")
     return float((T.data * K.data).sum())
-
-
-def tensor_norm(T: CQTensor) -> float:
-    return T.norm()

@@ -318,10 +318,6 @@ class RankOneResult:
     best_trial: int
     seed: int
 
-    @property
-    def identity_ok(self) -> bool:
-        return self.identity_gap <= 1e-8
-
 
 def _contract_except(data: np.ndarray, xs: Sequence[np.ndarray], keep: int) -> np.ndarray:
     """Contract a complex tensor with xs[j] in every slot j except keep."""

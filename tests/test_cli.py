@@ -1,10 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cqpoly import CQTensor, CQVector, outer_product, write_tensor
+from cqpoly import (
+    CQTensor,
+    CQVector,
+    ExperimentRow,
+    ProbeResult,
+    SolveReport,
+    outer_product,
+    render_csv,
+    write_tensor,
+)
+from cqpoly import cli
 from cqpoly.cli import main
 
 
@@ -228,3 +239,106 @@ def test_unreadable_input_is_a_one_line_error(tmp_path, runner, monkeypatch):
     result = runner.invoke(main, ["solve-f", "--tensor", path])
     assert result.exit_code == 1
     assert result.output.startswith("Error:") and "Permission denied" in result.output
+
+
+def test_experiment_unwritable_out_fails_before_the_sweep(tmp_path, runner, monkeypatch):
+    def no_sweep(config):
+        raise AssertionError("the sweep ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_sweep)
+    out = tmp_path / "missing" / "x.csv"
+    result = runner.invoke(main, ["experiment", "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error:") and str(out) in result.output
+    assert len(result.output.splitlines()) == 1
+
+
+# 100000^3 entries of 4 doubles is 28 PiB, more than the x86-64 address
+# space, so the allocation fails at once without touching memory.
+@pytest.mark.parametrize("command", ["solve-f", "rank-one", "solve-p"])
+def test_oversized_input_is_a_one_line_error(tmp_path, runner, command):
+    if command == "solve-p":
+        option, text = "--poly", "CQP1\ndegree 3\ndim 100000\n1 1 1 1.0 0.0 0.0 0.0\n"
+    else:
+        option, text = "--tensor", "CQT1\norder 3\ndims 100000 100000 100000\n"
+    path = write(tmp_path / "huge.txt", text)
+    result = runner.invoke(main, [command, option, path, "--trials", "2"])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error:") and "allocate" in result.output
+    assert len(result.output.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["solve-f", "solve-p"])
+def test_non_finite_input_names_its_line(tmp_path, runner, command):
+    if command == "solve-p":
+        option, text = "--poly", "CQP1\ndegree 2\ndim 2\n1 1 1.0 0.0 0.0 0.0\n1 2 0.0 1e999 0.0 0.0\n"
+    else:
+        option, text = "--tensor", "CQT1\norder 2\ndims 2 2\n1 1 1.0 0.0 0.0 0.0\n1 2 nan 0.0 0.0 0.0\n"
+    path = write(tmp_path / "bad.txt", text)
+    result = runner.invoke(main, [command, option, path])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error:") and f"{path}:5:" in result.output
+    assert "CQTensor" not in result.output
+
+
+def test_report_csv_bytes():
+    report = SolveReport(
+        solution=[CQVector.basis(2, 0)], objective=0.0, trials=1, best_trial=0, seed=42, degenerate=True
+    )
+    assert cli._report_csv(report, None, deterministic=True) == (
+        "objective,trials,best_trial,seed,gamma,theoretical_ratio,upper_bound,degenerate\n"
+        "0.0,1,0,42,,,,true\n"
+    )
+    report = SolveReport(
+        solution=[CQVector.basis(2, 0)], objective=1.25, trials=7, best_trial=3, seed=5,
+        theoretical_ratio=0.1, upper_bound=2e-320, degenerate=False,
+    )
+    assert cli._report_csv(report, 0.5, deterministic=True).splitlines()[1] == (
+        "1.25,7,3,5,0.5,0.1,2e-320,false"
+    )
+
+
+def test_prob_check_csv_bytes(runner, monkeypatch):
+    probe = ProbeResult(
+        n=5, gamma=0.5, delta=None, samples=1000, threshold=0.1, empirical_prob=1 / 3,
+        bound45=-0.0, bound_improved=None,
+    )
+    monkeypatch.setattr(cli, "estimate_tail_prob", lambda *args, **kwargs: probe)
+    result = runner.invoke(main, ["prob-check", "--n", "5", "--gamma", "0.5", "--deterministic"])
+    assert result.exit_code == 0, result.output
+    assert result.output == (
+        "n,gamma,delta,samples,threshold,empirical_prob,bound45,bound_improved\n"
+        "5,0.5,,1000,0.1,0.3333333333333333,-0.0,\n"
+    )
+
+
+def test_experiment_csv_bytes():
+    rows = [ExperimentRow(2, 10, 1, 1.5, 2.0), ExperimentRow(3, 1, 20, 0.1, 0.3)]
+    assert render_csv(rows, deterministic=True) == (
+        "n,trials,run,objective,upper_bound,ratio\n"
+        "2,10,1,1.5,2.0,0.75\n"
+        "3,1,20,0.1,0.3,0.33333333333333337\n"
+    )
+
+
+STAMP = r"generated \d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00"
+
+
+def test_timestamp_first_line_without_deterministic(tmp_path, runner):
+    tensor = write(tmp_path / "m.cqt", "CQT1\norder 2\ndims 1 1\n1 1 1.0 0.0 0.0 0.0\n")
+    out = tmp_path / "r.csv"
+    result = runner.invoke(main, ["solve-f", "--tensor", tensor, "--trials", "2", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    first, header = out.read_text().splitlines()[:2]
+    assert re.fullmatch("# " + STAMP, first) and header.startswith("objective,")
+    sweep = ["experiment", "--n-list", "2", "--trial-schedule", "1", "--runs", "1"]
+    for args, pattern in [
+        (sweep, "# " + STAMP),
+        (sweep + ["--format", "markdown"], "<!-- " + STAMP + " -->"),
+        (["prob-check", "--n", "3", "--gamma", "0.5", "--samples", "1000"], "# " + STAMP),
+    ]:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert re.fullmatch(pattern, result.output.splitlines()[0])
+        deterministic = runner.invoke(main, args + ["--deterministic"]).output
+        assert result.output.split("\n", 1)[1] == deterministic

@@ -1,5 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cqpoly import (
     CQTensor,
@@ -115,3 +120,63 @@ def test_poly_zero_coefficients_skipped_on_write(tmp_path):
     path = tmp_path / "p.cqp"
     write_poly(poly, path)
     assert path.read_text().endswith("1 2 1.0 0.0 0.0 0.0\n")
+
+
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "1e999", "-1e999"])
+def test_non_finite_components_name_their_line(token):
+    with pytest.raises(ParseError, match=r":5:.*finite"):
+        loads_tensor(f"CQT1\norder 2\ndims 2 2\n1 1 1.0 0.0 0.0 0.0\n2 1 0.0 {token} 0.0 0.0\n")
+    with pytest.raises(ParseError, match=r":5:.*finite"):
+        loads_poly(f"CQP1\ndegree 2\ndim 2\n1 1 1.0 0.0 0.0 0.0\n1 2 0.0 0.0 0.0 {token}\n")
+
+
+def test_header_keyword_errors():
+    with pytest.raises(ParseError, match=r":2:.*positive"):
+        loads_tensor("CQT1\norder 0\ndims\n")
+    with pytest.raises(ParseError, match=r":3:.*positive"):
+        loads_tensor("CQT1\norder 2\ndims 2 0\n")
+    with pytest.raises(ParseError, match=r":3:.*missing dims"):
+        loads_tensor("CQT1\norder 2\n")
+    with pytest.raises(ParseError, match=r":2:.*integer"):
+        loads_poly("CQP1\ndegree two\ndim 2\n")
+    with pytest.raises(ParseError, match=r":3:.*missing dim"):
+        loads_poly("CQP1\ndegree 2\n")
+
+
+# Values that round-trip through text only if repr and float are used exactly:
+# signed zeros, the smallest subnormal and the smallest normal number.
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0000000000000002]
+COMPONENT = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def tensors(draw):
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    return CQTensor(draw(arrays(np.float64, tuple(dims) + (4,), elements=COMPONENT)))
+
+
+@st.composite
+def polys(draw):
+    degree, dim = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    keys = list(itertools.combinations_with_replacement(range(1, dim + 1), degree))
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
+    return PolyProblem(degree, dim, {idx: CQuat(*draw(st.tuples(*[COMPONENT] * 4))) for idx in chosen})
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(tensor=tensors())
+def test_tensor_round_trip_property(tensor):
+    text = dumps_tensor(tensor)
+    again = loads_tensor(text)
+    assert np.array_equal(again.data, tensor.data)
+    assert dumps_tensor(again) == text
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(poly=polys())
+def test_poly_round_trip_property(poly):
+    text = dumps_poly(poly)
+    again = loads_poly(text)
+    nonzero = {idx: c.components() for idx, c in poly.terms() if any(c.components())}
+    assert {idx: c.components() for idx, c in again.terms()} == nonzero
+    assert dumps_poly(again) == text

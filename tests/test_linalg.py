@@ -63,12 +63,12 @@ def test_re_bilinear_scalar_examples():
 
 
 def test_real_block_of_real_unit():
-    block = real_block(CQMatrix.from_quats([[ONE]])).data
+    block = real_block(CQMatrix.from_quats([[ONE]]))
     assert np.array_equal(block, np.diag([1.0, -1.0, 1.0, -1.0]))
 
 
 def test_real_block_of_imaginary_unit():
-    block = real_block(CQMatrix.from_quats([[I]])).data
+    block = real_block(CQMatrix.from_quats([[I]]))
     expected = np.array(
         [
             [0, -1, 0, 0],
@@ -83,7 +83,7 @@ def test_real_block_of_imaginary_unit():
 
 def test_real_block_of_all_ones_is_block_diagonal():
     m, n = 2, 3
-    block = real_block(CQMatrix.from_real(np.ones((m, n)))).data
+    block = real_block(CQMatrix.from_real(np.ones((m, n))))
     expected = np.zeros((4 * m, 4 * n))
     for c, sign in enumerate([1.0, -1.0, 1.0, -1.0]):
         expected[c * m : (c + 1) * m, c * n : (c + 1) * n] = sign
@@ -95,7 +95,7 @@ def test_block_embedding_identity():
         m, n = rng.integers(1, 6, size=2)
         x, A, y = rand_vector(int(m)), rand_matrix(int(m), int(n)), rand_vector(int(n))
         direct = re_bilinear(x, A, y)
-        embedded = vec_real(x) @ real_block(A).data @ vec_real(y)
+        embedded = vec_real(x) @ real_block(A) @ vec_real(y)
         assert abs(direct - embedded) <= 1e-10
 
 

@@ -62,7 +62,7 @@ def test_bilinear_matches_svd_oracle(rng):
         m, n = (int(v) for v in rng.integers(1, 5, size=2))
         A = rand_matrix(rng, m, n)
         sol = solve_bilinear(A)
-        oracle = np.linalg.svd(real_block(A).data, compute_uv=False)[0]
+        oracle = np.linalg.svd(real_block(A), compute_uv=False)[0]
         assert sol.value == pytest.approx(oracle, abs=1e-8)
         assert re_bilinear(sol.x, A, sol.y) == pytest.approx(sol.value, abs=1e-8)
 
@@ -93,7 +93,7 @@ def test_bilinear_near_tie_across_components():
         blocks.append(q1[:, :3] @ np.diag([top, 0.6, 0.2]) @ q2[:, :3].conj().T)
     A = CQMatrix(cc_join(*blocks))
     sol = solve_bilinear(A)
-    oracle = np.linalg.svd(real_block(A).data, compute_uv=False)[0]
+    oracle = np.linalg.svd(real_block(A), compute_uv=False)[0]
     assert oracle == pytest.approx(1.0 + 5e-7, abs=1e-12)
     assert sol.value == pytest.approx(oracle, abs=1e-12)
     assert sol.x.norm() == pytest.approx(1.0, abs=1e-12)
@@ -111,7 +111,7 @@ def test_bilinear_symmetric_block_pair_does_not_cancel():
         sol = solve_bilinear(A)
         assert (sol.x + sol.y).norm() == pytest.approx(math.sqrt(2), abs=1e-12)
         assert (sol.x - sol.y).norm() == pytest.approx(math.sqrt(2), abs=1e-12)
-        oracle = np.linalg.svd(real_block(A).data, compute_uv=False)[0]
+        oracle = np.linalg.svd(real_block(A), compute_uv=False)[0]
         assert sol.value == pytest.approx(oracle, abs=1e-8)
         assert re_bilinear(sol.x, A, sol.y) == pytest.approx(sol.value, abs=1e-8)
 
