@@ -9,10 +9,15 @@ makes the polynomial equal to the form evaluated on a repeated argument.
 The sign-average identity links the two: averaging sign-weighted diagonal
 evaluations over all 2^d sign vectors recovers d! times the multilinear
 form. The average here is exact (full enumeration), not sampled.
+
+Polynomials are evaluated on arrays in the order of CQuat arithmetic, so
+the bits are the same: each term is the coefficient times its entries in
+index order, and the terms are summed in insertion order from +0.0.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Mapping, Sequence
@@ -97,7 +102,8 @@ class PolyProblem:
     """Sparse homogeneous polynomial of one quaternion vector variable.
 
     Coefficients are keyed by nondecreasing index tuples (1-based); adding a
-    term canonicalizes by sorting and sums duplicate tuples.
+    term canonicalizes by sorting and sums duplicate tuples; a coefficient or
+    sum that is not finite is a ValueError.
     """
 
     __slots__ = ("degree", "dim", "_coeffs")
@@ -124,6 +130,8 @@ class PolyProblem:
             coeff = CQuat(coeff)
         if idx in self._coeffs:
             coeff = self._coeffs[idx] + coeff
+        if not all(map(math.isfinite, coeff.components())):
+            raise ValueError(f"coefficient of {idx} must be finite, got {coeff!r}")
         self._coeffs[idx] = coeff
 
     def terms(self) -> list[tuple[tuple[int, ...], CQuat]]:
@@ -133,18 +141,18 @@ class PolyProblem:
     def coeffs(self) -> dict[tuple[int, ...], CQuat]:
         return dict(self._coeffs)
 
+    def _values(self, xs: np.ndarray) -> np.ndarray:
+        """H at each vector of an (..., n, 4) stack, as (..., 4), in the module's evaluation order."""
+        idx = np.array(list(self._coeffs), dtype=np.intp).reshape(-1, self.degree) - 1
+        coeffs = np.array([c.components() for c in self._coeffs.values()]).reshape(-1, 4)
+        terms = functools.reduce(qprod, [xs[..., i, :] for i in idx.T], coeffs)
+        return np.add.reduce(terms, axis=-2, initial=0.0)
+
     def __call__(self, x: CQVector) -> CQuat:
-        """Direct monomial evaluation."""
+        """Direct monomial evaluation, bit for bit the sum of the terms in CQuat arithmetic."""
         if len(x) != self.dim:
             raise ValueError(f"expected a vector of length {self.dim}, got {len(x)}")
-        entries = x.quats()
-        total = CQuat()
-        for idx, coeff in self._coeffs.items():
-            term = coeff
-            for i in idx:
-                term = term * entries[i - 1]
-            total = total + term
-        return total
+        return CQuat(*self._values(x.data))
 
     def __neg__(self) -> "PolyProblem":
         return PolyProblem(self.degree, self.dim, {idx: -c for idx, c in self._coeffs.items()})

@@ -11,8 +11,8 @@ Indices are 1-based; entries not listed are zero; listing the same index
 tuple twice is an error. Polynomial files replace the first three lines by
 ``CQP1``, ``degree <d>`` and ``dim <n>``, and every index tuple must be
 sorted nondecreasing; duplicate tuples sum into one coefficient. Every
-component must be finite: ``nan``, ``inf`` or a literal that overflows,
-such as ``1e999``, is a ParseError naming its line.
+component must be finite: ``nan``, ``inf``, an overflowing literal such as
+``1e999`` or an overflowing duplicate sum is a ParseError naming its line.
 
 Writers emit entries in lexicographic index order with shortest round-trip
 float representations and skip exact zeros, so parse followed by serialize
@@ -156,7 +156,10 @@ def loads_poly(text: str, source: str = "<string>") -> PolyProblem:
     for lineno, idx, comps in zip(linenos, idxs, values.tolist()):
         if any(a > b for a, b in zip(idx, idx[1:])):
             raise ParseError(source, lineno, f"index tuple must be sorted nondecreasing: {list(idx)}")
-        poly.add_term(idx, CQuat(*comps))
+        try:
+            poly.add_term(idx, CQuat(*comps))
+        except ValueError as exc:
+            raise ParseError(source, lineno, str(exc)) from None
     return poly
 
 

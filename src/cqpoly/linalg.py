@@ -53,14 +53,6 @@ def qprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def qconj(a: np.ndarray) -> np.ndarray:
-    """Componentwise principal conjugate of a (..., 4) array."""
-    out = a.copy()
-    out[..., 1] = -out[..., 1]
-    out[..., 3] = -out[..., 3]
-    return out
-
-
 def cc_split(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The C+C components (z1, z2) of a (..., 4) array, each of shape (...)."""
     w, x, y, z = data[..., 0], data[..., 1], data[..., 2], data[..., 3]
@@ -137,10 +129,6 @@ class CQVector(_Container):
             raise ValueError("cannot normalize a zero vector")
         return CQVector(self.data / nrm)
 
-    def dot(self, other: "CQVector") -> float:
-        """Real inner product Re(self^H other) = sum of componentwise dot products."""
-        return inner_product(self, other)
-
     def __add__(self, other):
         if isinstance(other, CQVector):
             return CQVector(self.data + other.data)
@@ -184,9 +172,6 @@ class CQMatrix(_Container):
     def __getitem__(self, key: tuple[int, int]) -> CQuat:
         i, j = key
         return CQuat(*self.data[i, j])
-
-    def conj_transpose(self) -> "CQMatrix":
-        return CQMatrix(qconj(self.data).transpose(1, 0, 2))
 
     def __repr__(self) -> str:
         m, n = self.shape

@@ -70,12 +70,6 @@ class RandomSource:
         """Raw i.i.d. standard normal draws."""
         return self._gen.standard_normal(shape)
 
-    def qnormal_vector(self, n: int) -> CQVector:
-        """Quaternion vector with all 4n real components i.i.d. standard normal."""
-        if n < 1:
-            raise ValueError("dimension must be at least 1")
-        return CQVector(self._gen.standard_normal((n, 4)))
-
     def sphere_array(self, n: int) -> np.ndarray:
         """Uniform draw on the quaternion unit sphere as a raw (n, 4) array."""
         if n < 1:
@@ -89,12 +83,6 @@ class RandomSource:
     def sphere_vector(self, n: int) -> CQVector:
         """Uniform draw on the quaternion unit sphere (unit sphere in R^{4n})."""
         return CQVector(self.sphere_array(n))
-
-    def signs(self, count: int) -> np.ndarray:
-        """Symmetric Bernoulli draws in {-1, +1}."""
-        if count < 1:
-            raise ValueError("count must be at least 1")
-        return self._gen.integers(0, 2, size=count) * 2 - 1
 
 
 @functools.cache

@@ -250,7 +250,7 @@ def maximize_poly(
     candidate with the largest Re H is kept. For odd degree the sign vectors
     come in antipodal pairs, so both normalizations +-u compete. If every
     combination vanishes, the best relaxation factor is returned and the
-    report is flagged degenerate.
+    report is flagged degenerate. All candidates are valued in one pass.
     """
     d, n = poly.degree, poly.dim
     if d < 2:
@@ -268,23 +268,19 @@ def maximize_poly(
             degenerate=True,
         )
     relaxed = maximize_form(form, trials, seed)
-    factors = relaxed.solution
-
-    def re_h(vec: CQVector) -> float:
-        return poly(vec).re
-
-    candidates = []
-    for signs in itertools.product((1.0, -1.0), repeat=d):
-        if d % 2 == 0 and math.prod(signs) < 0:
-            continue
-        combo = CQVector(sum(s * f.data for s, f in zip(signs, factors)))
-        if combo.norm() >= DEGENERATE_NORM:
-            candidates.append(combo.unit())
-    degenerate = not candidates
-    out = max(candidates or factors, key=re_h)
+    factors = np.stack([f.data for f in relaxed.solution])
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=d)))
+    signs = signs[(signs.prod(axis=1) > 0) | (d % 2 == 1)]
+    combos = np.add.reduce(signs[:, :, None, None] * factors, axis=1, initial=0.0)
+    norms = np.sqrt((combos**2).sum(axis=(1, 2)))
+    keep = norms >= DEGENERATE_NORM
+    degenerate = not keep.any()
+    candidates = factors if degenerate else combos[keep] / norms[keep, None, None]
+    values = poly._values(candidates)[:, 0]
+    best = int(np.argmax(values))
     return SolveReport(
-        solution=[out],
-        objective=re_h(out),
+        solution=[CQVector(candidates[best])],
+        objective=float(values[best]),
         trials=relaxed.trials,
         best_trial=relaxed.best_trial,
         seed=seed,

@@ -281,6 +281,14 @@ def test_non_finite_input_names_its_line(tmp_path, runner, command):
     assert "CQTensor" not in result.output
 
 
+def test_overflowing_duplicate_sum_names_its_line(tmp_path, runner):
+    path = write(tmp_path / "dup.cqp", "CQP1\ndegree 2\ndim 2\n1 2 1e308 0 0 0\n1 2 1e308 0 0 0\n")
+    result = runner.invoke(main, ["solve-p", "--poly", path])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error:") and f"{path}:5:" in result.output
+    assert len(result.output.splitlines()) == 1
+
+
 def test_report_csv_bytes():
     report = SolveReport(
         solution=[CQVector.basis(2, 0)], objective=0.0, trials=1, best_trial=0, seed=42, degenerate=True

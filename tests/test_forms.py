@@ -256,3 +256,19 @@ def test_poly_validation():
         poly.add_term((1,), ONE)
     with pytest.raises(ValueError):
         poly(rand_vector(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_add_term_rejects_non_finite_coefficients(bad):
+    poly = PolyProblem(2, 2)
+    with pytest.raises(ValueError, match="finite"):
+        poly.add_term((1, 2), CQuat(0.0, bad))
+    assert poly.coeffs == {}
+
+
+def test_add_term_rejects_an_overflowing_sum():
+    poly = PolyProblem(2, 2)
+    poly.add_term((1, 2), CQuat(1e308))
+    with pytest.raises(ValueError, match="finite"):
+        poly.add_term((2, 1), CQuat(1e308))
+    assert poly.coeffs == {(1, 2): CQuat(1e308)}

@@ -130,6 +130,11 @@ def test_non_finite_components_name_their_line(token):
         loads_poly(f"CQP1\ndegree 2\ndim 2\n1 1 1.0 0.0 0.0 0.0\n1 2 0.0 0.0 0.0 {token}\n")
 
 
+def test_overflowing_duplicate_sum_names_its_line():
+    with pytest.raises(ParseError, match=r":5:.*finite"):
+        loads_poly("CQP1\ndegree 2\ndim 2\n1 2 1e308 0 0 0\n1 2 1e308 0 0 0\n")
+
+
 def test_header_keyword_errors():
     with pytest.raises(ParseError, match=r":2:.*positive"):
         loads_tensor("CQT1\norder 0\ndims\n")

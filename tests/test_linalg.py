@@ -33,7 +33,7 @@ def rand_matrix(m, n, scale=1.0):
 
 def test_inner_product_examples():
     q = CQVector.from_quats([ONE + I, J])
-    assert q.dot(q) == pytest.approx(3.0)
+    assert inner_product(q, q) == pytest.approx(3.0)
     e1, e2 = CQVector.basis(3, 0), CQVector.basis(3, 1)
     assert inner_product(e1, e2) == 0.0
 
@@ -182,13 +182,6 @@ def test_tensor_inner_shape_mismatch():
     b = CQTensor.from_real(np.ones((2, 3)))
     with pytest.raises(ValueError):
         tensor_inner(a, b)
-
-
-def test_conj_transpose_is_involution():
-    for _ in range(20):
-        A = rand_matrix(int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-        back = A.conj_transpose().conj_transpose()
-        assert np.array_equal(back.data, A.data)
 
 
 def test_vectors_are_read_only():
