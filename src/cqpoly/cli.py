@@ -10,11 +10,15 @@ Subcommands cover the four solver entry points and the probability probe:
 
 Outputs written with --out are byte-reproducible for a fixed command line
 and seed; a timestamp comment is prepended unless --deterministic is given.
+
+Errors: an OSError, ValueError or MemoryError raised anywhere in a command
+ends it with one line, ``Error: <message>``, and exit code 1; usage errors exit 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple
+from pathlib import Path
 
 import click
 
@@ -30,16 +34,16 @@ REPORT_CSV_HEADER = "objective,trials,best_trial,seed,gamma,theoretical_ratio,up
 PROB_CSV_HEADER = "n,gamma,delta,samples,threshold,empirical_prob,bound45,bound_improved"
 
 
-def _fail(exc: Exception) -> None:
-    raise click.ClickException(str(exc))
+class _Commands(click.Group):
+    """The error boundary of every command (see the module docstring)."""
 
-
-def _write(path: str, text: str, mode: str = "w") -> None:
-    try:
-        with open(path, mode, encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        _fail(exc)
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # click itself exits quietly when stdout is closed
+        except (OSError, ValueError, MemoryError) as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
 def _echo_vector(label: str, vec: CQVector) -> None:
@@ -70,7 +74,7 @@ def _report_csv(report: SolveReport, gamma: float | None, deterministic: bool) -
     return csv_text(REPORT_CSV_HEADER, [row], deterministic)
 
 
-@click.group()
+@click.group(cls=_Commands)
 def main():
     """Sphere-constrained optimization over commutative quaternions."""
 
@@ -84,14 +88,10 @@ def main():
 @click.option("--deterministic", is_flag=True, help="Suppress the timestamp header in --out files.")
 def solve_f(tensor_path, trials, seed, gamma, out_path, deterministic):
     """Maximize Re F(x1, ..., xd) over unit spheres for a tensor file."""
-    try:
-        tensor = read_tensor(tensor_path)
-        report = maximize_form(MultilinearForm(tensor), trials, seed, gamma=gamma)
-    except (OSError, ValueError, MemoryError) as exc:
-        _fail(exc)
+    report = maximize_form(MultilinearForm(read_tensor(tensor_path)), trials, seed, gamma=gamma)
     _echo_report(report)
     if out_path:
-        _write(out_path, _report_csv(report, gamma, deterministic))
+        Path(out_path).write_text(_report_csv(report, gamma, deterministic), encoding="utf-8")
 
 
 @main.command("solve-p")
@@ -104,16 +104,13 @@ def solve_f(tensor_path, trials, seed, gamma, out_path, deterministic):
 @click.option("--deterministic", is_flag=True)
 def solve_p(poly_path, trials, seed, gamma, estimate_min, out_path, deterministic):
     """Maximize Re H(x) over the unit sphere for a polynomial file."""
-    try:
-        poly = read_poly(poly_path)
-        report = maximize_poly(poly, trials, seed, gamma=gamma)
-    except (OSError, ValueError, MemoryError) as exc:
-        _fail(exc)
+    poly = read_poly(poly_path)
+    report = maximize_poly(poly, trials, seed, gamma=gamma)
     _echo_report(report)
     if estimate_min:
         click.echo(f"ball minimum upper estimate: {estimate_ball_min(poly, trials, seed)!r}")
     if out_path:
-        _write(out_path, _report_csv(report, gamma, deterministic))
+        Path(out_path).write_text(_report_csv(report, gamma, deterministic), encoding="utf-8")
 
 
 @main.command("rank-one")
@@ -122,11 +119,7 @@ def solve_p(poly_path, trials, seed, gamma, estimate_min, out_path, deterministi
 @click.option("--seed", default=42, show_default=True, type=click.IntRange(min=0))
 def rank_one(tensor_path, trials, seed):
     """Best rank-one approximation of a tensor file."""
-    try:
-        tensor = read_tensor(tensor_path)
-        result = best_rank_one(tensor, trials, seed)
-    except (OSError, ValueError, MemoryError) as exc:
-        _fail(exc)
+    result = best_rank_one(read_tensor(tensor_path), trials, seed)
     click.echo(f"lambda: {result.lam!r}")
     click.echo(f"residual (norm formula): {result.residual!r}")
     click.echo(f"residual (direct): {result.direct_residual!r}")
@@ -154,22 +147,19 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
 @click.option("--deterministic", is_flag=True)
 def experiment(n_list, trial_schedule, runs, seed, out_path, fmt, deterministic):
     """Ratio sweep against the all-ones bound 2 n^(3/2), loose by sqrt(2): ratios stay <= 0.707."""
-    try:
-        config = ExperimentConfig(
-            n_list=_parse_int_list(n_list, "--n-list"),
-            trial_schedule=_parse_int_list(trial_schedule, "--trial-schedule"),
-            runs=runs,
-            seed=seed,
-            deterministic=deterministic,
-        )
-    except ValueError as exc:
-        _fail(exc)
+    config = ExperimentConfig(
+        n_list=_parse_int_list(n_list, "--n-list"),
+        trial_schedule=_parse_int_list(trial_schedule, "--trial-schedule"),
+        runs=runs,
+        seed=seed,
+        deterministic=deterministic,
+    )
     if out_path:
-        _write(out_path, "", mode="a")  # an unwritable path fails now, not after the sweep
+        open(out_path, "a", encoding="utf-8").close()  # an unwritable path fails now, not after the sweep
     rows = run_experiment(config)
     rendered = render_csv(rows, deterministic) if fmt == "csv" else render_markdown(rows, config)
     if out_path:
-        _write(out_path, rendered)
+        Path(out_path).write_text(rendered, encoding="utf-8")
         stats = summarize(rows)
         last = max(config.trial_schedule)
         for n in config.n_list:
@@ -190,13 +180,10 @@ def experiment(n_list, trial_schedule, runs, seed, out_path, fmt, deterministic)
 @click.option("--deterministic", is_flag=True)
 def prob_check(n, gamma, delta, samples, seed, out_path, deterministic):
     """Estimate the sphere tail probability and report the bound curves."""
-    try:
-        probe = estimate_tail_prob(n, gamma, samples, seed, delta=delta)
-    except ValueError as exc:
-        _fail(exc)
+    probe = estimate_tail_prob(n, gamma, samples, seed, delta=delta)
     rendered = csv_text(PROB_CSV_HEADER, [astuple(probe)], deterministic)
     if out_path:
-        _write(out_path, rendered)
+        Path(out_path).write_text(rendered, encoding="utf-8")
         click.echo(f"empirical probability: {probe.empirical_prob!r}")
         click.echo(f"wrote {out_path}")
     else:

@@ -17,6 +17,7 @@ index order, and the terms are summed in insertion order from +0.0.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -69,19 +70,6 @@ class MultilinearForm:
         for slot, vec in enumerate(xs):
             self._check_slot(slot, vec)
         return CQuat(*_contract_leading(self.tensor.data, xs))
-
-    def contract(self, fixed: Sequence[CQVector], free_slot: int) -> CQVector:
-        """Fix every slot except free_slot; returns v with v^T y = F(..., y, ...)."""
-        d = self.order
-        if not 0 <= free_slot < d:
-            raise ValueError(f"free_slot out of range: {free_slot}")
-        if len(fixed) != d - 1:
-            raise ValueError(f"expected {d - 1} fixed vectors, got {len(fixed)}")
-        slots = [s for s in range(d) if s != free_slot]
-        for slot, vec in zip(slots, fixed):
-            self._check_slot(slot, vec)
-        data = np.moveaxis(self.tensor.data, free_slot, -2)
-        return CQVector(_contract_leading(data, fixed))
 
     def contract_pair(self, fixed: Sequence[CQVector], free_slots: tuple[int, int]) -> CQMatrix:
         """Fix all but two slots; returns the matrix of the remaining bilinear form."""
@@ -161,19 +149,36 @@ class PolyProblem:
         return f"PolyProblem(degree={self.degree}, dim={self.dim}, terms={len(self._coeffs)})"
 
 
+@functools.lru_cache(maxsize=1024)
+def _orderings(counts: tuple[int, ...]) -> np.ndarray:
+    """Every distinct ordering of a multiset with these group counts, one row of group labels each."""
+    if not any(counts):
+        return np.zeros((1, 0), dtype=np.intp)
+    # the rows that start with g are g followed by every ordering of what is left
+    rest = [(g, _orderings(counts[:g] + (c - 1,) + counts[g + 1:])) for g, c in enumerate(counts) if c]
+    rows = np.concatenate([np.insert(tail, 0, g, axis=1) for g, tail in rest])
+    rows.flags.writeable = False  # cached: every caller gets this array
+    return rows
+
+
 def symmetrize(poly: PolyProblem) -> MultilinearForm:
     """Dense super-symmetric form whose diagonal restriction equals the polynomial.
 
     The entry at every permutation of a sorted tuple is the coefficient
-    divided by the number of distinct permutations of that tuple.
+    divided by the number of distinct permutations of that tuple. Only those
+    are generated, so past the allocation the cost is proportional to the entries written.
     """
     d, n = poly.degree, poly.dim
     data = np.zeros((n,) * d + (4,))
+    by_pattern = collections.defaultdict(list)
     for idx, coeff in poly.coeffs.items():
-        perms = set(itertools.permutations(idx))
-        value = np.array(coeff.components()) / len(perms)
-        for perm in perms:
-            data[tuple(i - 1 for i in perm)] = value
+        groups = collections.Counter(idx)
+        by_pattern[tuple(groups.values())].append((list(groups), coeff.components()))
+    for counts, terms in by_pattern.items():
+        keys, values = zip(*terms)
+        labels = _orderings(counts)
+        entries = np.array(keys, dtype=np.intp)[:, labels] - 1
+        data[tuple(np.moveaxis(entries, -1, 0))] = np.array(values)[:, None] / len(labels)
     return MultilinearForm(CQTensor(data))
 
 

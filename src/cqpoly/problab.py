@@ -65,6 +65,15 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite")
 
 
+def _improved_exponent(gamma: float, delta: float) -> float:
+    """(2 + delta + delta^2/2) * gamma; a ValueError for a delta not positive or too large to square."""
+    _check_positive("delta", delta)
+    try:
+        return (2 + delta + delta**2 / 2) * gamma
+    except OverflowError:
+        raise ValueError(f"delta = {delta!r} is too large: delta**2 overflows") from None
+
+
 def _batches(samples: int, sample_bytes: int):
     """(stream, size) of each batch when one sample's draws take sample_bytes."""
     batch = max(1, min(BATCH_SIZE, BATCH_BYTES // sample_bytes))
@@ -94,8 +103,9 @@ def estimate_tail_prob(
     if n < 2:
         raise ValueError("n must be at least 2")
     _check_positive("gamma", gamma)
+    improved = None
     if delta is not None:
-        _check_positive("delta", delta)
+        improved = n ** (-_improved_exponent(gamma, delta)) / math.sqrt(math.log(n))
     if gamma * math.log(n) >= n:
         raise ValueError(f"hypothesis gamma * ln n < n violated: {gamma * math.log(n):g} >= {n}")
     if samples < 1000:
@@ -120,9 +130,6 @@ def estimate_tail_prob(
         re_vals = draws.reshape(size, 4 * n) @ weights / nrm
         hits += int((re_vals >= cutoff).sum())
     bound45 = n ** (-4.5 * gamma) / math.sqrt(math.log(n))
-    improved = None
-    if delta is not None:
-        improved = n ** (-(2 + delta + delta**2 / 2) * gamma) / math.sqrt(math.log(n))
     return ProbeResult(
         n=n,
         gamma=gamma,
@@ -169,8 +176,7 @@ def bound_curves(n_range, gamma: float, delta: float) -> list[BoundCurveRow]:
     n^(-(2 + delta + delta^2/2) gamma)/sqrt(ln n) for plotting or tabulation.
     """
     _check_positive("gamma", gamma)
-    _check_positive("delta", delta)
-    improved_exp = (2 + delta + delta**2 / 2) * gamma
+    improved_exp = _improved_exponent(gamma, delta)
     rows = []
     for n in n_range:
         n = int(n)

@@ -350,3 +350,60 @@ def test_timestamp_first_line_without_deterministic(tmp_path, runner):
         assert re.fullmatch(pattern, result.output.splitlines()[0])
         deterministic = runner.invoke(main, args + ["--deterministic"]).output
         assert result.output.split("\n", 1)[1] == deterministic
+
+
+# Each command's arguments and the core call that is made to raise; the
+# boundary must cover calls made anywhere in a command, not only the first.
+BOUNDARY_CASES = {
+    "solve-f": (["solve-f", "--tensor", "{tensor}"], "read_tensor"),
+    "rank-one": (["rank-one", "--tensor", "{tensor}"], "read_tensor"),
+    "solve-p": (["solve-p", "--poly", "{poly}"], "read_poly"),
+    "solve-p --estimate-min": (["solve-p", "--poly", "{poly}", "--trials", "2", "--estimate-min"], "estimate_ball_min"),
+    "experiment": (["experiment", "--n-list", "2", "--trial-schedule", "1", "--runs", "1"], "run_experiment"),
+    "prob-check": (["prob-check", "--n", "3", "--gamma", "0.5", "--samples", "1000"], "estimate_tail_prob"),
+}
+
+
+@pytest.mark.parametrize("error", [OSError, ValueError, MemoryError])
+@pytest.mark.parametrize("case", list(BOUNDARY_CASES))
+def test_every_command_turns_errors_into_one_line(tmp_path, runner, monkeypatch, case, error):
+    def fail(*args, **kwargs):
+        raise error("boom at the core")
+
+    template, target = BOUNDARY_CASES[case]
+    monkeypatch.setattr(cli, target, fail)
+    paths = {
+        "tensor": write(tmp_path / "m.cqt", "CQT1\norder 2\ndims 1 1\n1 1 1.0 0.0 0.0 0.0\n"),
+        "poly": write(tmp_path / "p.cqp", "CQP1\ndegree 2\ndim 1\n1 1 1.0 0.0 0.0 0.0\n"),
+    }
+    result = runner.invoke(main, [arg.format(**paths) for arg in template])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == "Error: boom at the core\n"
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["experiment", "--n-list", "100000", "--runs", "1", "--trial-schedule", "1"], "Error: Unable to allocate"),
+        (["prob-check", "--n", "3", "--gamma", "0.5", "--delta", "1e200", "--samples", "1000"], "Error: delta = 1e+200"),
+    ],
+)
+def test_huge_sweep_and_huge_delta_are_one_line_errors(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith(message) and len(result.stderr.splitlines()) == 1
+
+
+def test_usage_errors_keep_exit_code_two(tmp_path, runner):
+    result = runner.invoke(main, ["solve-f", "--tensor", str(tmp_path / "absent.cqt")])
+    assert result.exit_code == 2 and "does not exist" in result.stderr
+
+
+def test_unparsable_list_keeps_its_wording(runner):
+    result = runner.invoke(main, ["experiment", "--n-list", "2,x"])
+    assert result.exit_code == 1
+    assert result.stderr == "Error: could not parse --n-list: '2,x'\n"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqpoly import (
     CQTensor,
@@ -85,24 +87,6 @@ def test_eval_multilinearity_in_each_slot():
         assert np.allclose(lhs.components(), rhs_arr, atol=1e-10)
 
 
-def test_contract_all_ones():
-    form = MultilinearForm(CQTensor.from_real(np.ones((2, 2, 2))))
-    e1 = CQVector.from_real([1.0, 0.0])
-    v = form.contract([e1, e1], free_slot=2)
-    assert np.array_equal(v.data[:, 0], [1.0, 1.0])
-
-
-def test_contract_defining_identity():
-    form = rand_form((3, 2, 3))
-    fixed = [rand_vector(3), rand_vector(3)]
-    v = form.contract(fixed, free_slot=1)
-    for _ in range(50):
-        y = rand_vector(2)
-        via_vector = sum((a * b for a, b in zip(v.quats(), y.quats())), CQuat())
-        direct = form(fixed[0], y, fixed[1])
-        assert via_vector.isclose(direct, tol=1e-10)
-
-
 def test_contract_pair_matches_bilinear_evaluation():
     form = rand_form((2, 3, 2, 3))
     fixed = [rand_vector(2), rand_vector(2)]
@@ -155,6 +139,46 @@ def test_eval_poly_examples():
     sum_sq.add_term((2, 2), ONE)
     x = CQVector.from_real(np.array([0.6, 0.8]))
     assert sum_sq(x).re == pytest.approx(1.0)
+
+
+def reference_symmetrize(poly):
+    """The tensor of symmetrize, by looping over the set of all d! permutations."""
+    data = np.zeros((poly.dim,) * poly.degree + (4,))
+    for idx, coeff in poly.coeffs.items():
+        perms = set(itertools.permutations(idx))
+        value = np.array(coeff.components()) / len(perms)
+        for perm in perms:
+            data[tuple(i - 1 for i in perm)] = value
+    return data
+
+
+@st.composite
+def small_polys(draw):
+    """Degree <= 6, dim <= 4, every multiplicity pattern, and the empty polynomial."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 4))
+    poly = PolyProblem(d, n)
+    index = st.lists(st.integers(1, n), min_size=d, max_size=d)
+    component = st.floats(-2.0, 2.0)
+    for idx, comps in draw(st.lists(st.tuples(index, st.tuples(*[component] * 4)), max_size=8)):
+        poly.add_term(idx, CQuat(*comps))
+    return poly
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(poly=small_polys())
+def test_symmetrize_is_bit_equal_to_the_permutation_loop(poly):
+    assert symmetrize(poly).tensor.data.tobytes() == reference_symmetrize(poly).tobytes()
+
+
+def test_symmetrize_high_degree_single_term():
+    # 12 distinct orderings out of 12! permutations
+    poly = PolyProblem(12, 2, {(1,) * 11 + (2,): ONE})
+    data = symmetrize(poly).tensor.data
+    written = np.argwhere(data[..., 0] != 0)
+    assert sorted(map(tuple, written)) == sorted((0,) * k + (1,) + (0,) * (11 - k) for k in range(12))
+    assert np.all(data[tuple(written.T)] == [1 / 12, 0.0, 0.0, 0.0])
+    assert not data[..., 1:].any()
 
 
 def test_eval_poly_matches_symmetrized_form():
@@ -272,3 +296,12 @@ def test_add_term_rejects_an_overflowing_sum():
     with pytest.raises(ValueError, match="finite"):
         poly.add_term((2, 1), CQuat(1e308))
     assert poly.coeffs == {(1, 2): CQuat(1e308)}
+
+
+def test_lift_skips_zero_entries():
+    data = np.zeros((2, 3, 4))
+    data[0, 2] = [1.0, 0.0, -2.0, 0.0]
+    data[1, 0] = [0.0, 0.0, 0.0, 0.5]
+    data[1, 1] = [-0.0, 0.0, -0.0, 0.0]
+    lifted = lift_to_poly(MultilinearForm(CQTensor(data)))
+    assert lifted.coeffs == {(1, 5): CQuat(1.0, 0.0, -2.0, 0.0), (2, 3): CQuat(0.0, 0.0, 0.0, 0.5)}

@@ -162,3 +162,20 @@ def test_non_finite_parameters_rejected():
         bound_curves([3], gamma=math.nan, delta=1.0)
     with pytest.raises(ValueError):
         bound_curves([3], gamma=1.0, delta=math.inf)
+
+
+def test_delta_too_large_to_square_is_named_before_sampling(monkeypatch):
+    def no_draws(self, shape):
+        raise _FirstBatch
+
+    monkeypatch.setattr(RandomSource, "normals", no_draws)
+    with pytest.raises(ValueError, match="delta"):
+        bound_curves([3], gamma=0.5, delta=1e200)
+    with pytest.raises(ValueError, match="delta = 1e[+]200 is too large"):
+        estimate_tail_prob(3, 0.5, samples=1000, seed=0, delta=1e200)
+
+
+def test_large_delta_that_squares_underflows_the_bound_to_zero():
+    assert bound_curves([3], gamma=0.5, delta=1e150)[0].bound_improved == 0.0
+    # the exponent itself overflows to inf here, which is still a zero bound
+    assert bound_curves([3], gamma=1e10, delta=1e154)[0].bound_improved == 0.0
