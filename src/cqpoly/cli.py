@@ -17,6 +17,7 @@ ends it with one line, ``Error: <message>``, and exit code 1; usage errors exit 
 
 from __future__ import annotations
 
+import os
 from dataclasses import astuple
 from pathlib import Path
 
@@ -154,12 +155,19 @@ def experiment(n_list, trial_schedule, runs, seed, out_path, fmt, deterministic)
         seed=seed,
         deterministic=deterministic,
     )
+    created = bool(out_path) and not os.path.lexists(out_path)
     if out_path:
         open(out_path, "a", encoding="utf-8").close()  # an unwritable path fails now, not after the sweep
-    rows = run_experiment(config)
-    rendered = render_csv(rows, deterministic) if fmt == "csv" else render_markdown(rows, config)
+    try:
+        rows = run_experiment(config)
+        rendered = render_csv(rows, deterministic) if fmt == "csv" else render_markdown(rows, config)
+        if out_path:
+            Path(out_path).write_text(rendered, encoding="utf-8")
+    except BaseException:
+        if created:
+            Path(out_path).unlink(missing_ok=True)
+        raise
     if out_path:
-        Path(out_path).write_text(rendered, encoding="utf-8")
         stats = summarize(rows)
         last = max(config.trial_schedule)
         for n in config.n_list:

@@ -6,7 +6,7 @@ bound for the maximum of the associated form on unit spheres, so
 objective / upper bound is a conservative performance ratio. The bound is
 loose by sqrt(2): the attained maximum is sqrt(2) n^(3/2), so every ratio
 in the table is at most 1/sqrt(2) = 0.707. Each run
-values its trials as one batch (see solvers.form_trial_values) and the
+values its trials as one batch (see solvers.form_running_best) and the
 running maximum is read at every scheduled trial count, which makes per-run
 ratios nondecreasing across the schedule by construction.
 """
@@ -21,7 +21,7 @@ import numpy as np
 from .forms import MultilinearForm
 from .io import csv_text, timestamp_line
 from .linalg import CQTensor
-from .solvers import form_trial_values
+from .solvers import form_running_best
 
 DEFAULT_N_LIST = (2, 3, 4, 5, 6, 7)
 DEFAULT_SCHEDULE = (1, 5, 10, 20, 50, 100, 500, 1000, 10000)
@@ -82,8 +82,9 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
 
     Each (n, run) sweep values all its trials in one batch; the best-of-k
     objective at checkpoint k is the running maximum of the first k trial
-    values. Trial t's value depends only on the run seed and t, so the
-    checkpoints agree bit for bit with maximize_form at k trials.
+    values, for which only the trials that can set a new best are solved.
+    Trial t's value depends only on the run seed and t, so the checkpoints
+    agree bit for bit with maximize_form at k trials.
     """
     rows: list[ExperimentRow] = []
     max_trials = max(config.trial_schedule)
@@ -91,7 +92,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
         form, upper = all_ones_instance(n, n, n)
         for run in range(1, config.runs + 1):
             seed = run_seed_for(config.seed, n, run)
-            best = np.maximum.accumulate(form_trial_values(form, max_trials, seed))
+            best = form_running_best(form, max_trials, seed)
             rows.extend(
                 ExperimentRow(n, t, run, float(best[t - 1]), upper) for t in config.trial_schedule
             )

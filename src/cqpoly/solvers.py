@@ -10,12 +10,20 @@ an exhaustive sign combination step. The best rank-one approximation is
 solved per C+C component: the same randomized scheme gives the start and
 the higher-order power method refines it.
 
-A best-of-k choice needs the value of every trial but the vectors of only
-one, so the trials are evaluated as one batch in C+C coordinates: the
-draws of a chunk of trials are stacked, contracted into the (trials, 2,
-m, n) blocks of the remaining bilinear problems, and valued by one batched
-call for the top singular values, without singular vectors. Only the
-winning trial is then redrawn and solved in full by solve_bilinear.
+A best-of-k choice needs the vectors of only one trial, and its running
+maximum needs the value of only the trials that set a new record, so the
+trials are evaluated as one batch in C+C coordinates: the draws of a chunk
+of trials are stacked and contracted into the (trials, 2, m, n) blocks of
+the remaining bilinear problems. Cheap bounds lower <= sigma_1 <= upper
+of every block (from its Gram matrix) then decide which blocks can set a
+record: a block whose upper bound, with a relative margin of 1e-10, is
+strictly below the largest lower bound of the trials before it cannot
+raise or tie the best value so far, so it gets no SVD. The rest are
+valued by one batched LAPACK call for the top singular values, without
+singular vectors; that is the same call on the same block as in the
+exact form_trial_values, so the running maximum and its first maximizing
+trial are bit for bit those of the full array. Only the winning trial is
+then redrawn and solved in full by solve_bilinear.
 
 Determinism contract: trial t's draws are, bit for bit, those of
 RandomSource(seed, stream=t) taken in slot order; sphere_draws produces
@@ -159,22 +167,76 @@ def _contract_batch(comps: np.ndarray, xis: Sequence[np.ndarray]) -> np.ndarray:
     return blocks
 
 
+def _sigma_bounds(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds lower <= sigma_1 <= upper of each complex block (..., m, n).
+
+    Both come from the smaller Gram matrix G = A A^H, whose largest
+    eigenvalue is sigma_1^2: upper = |G|_F^(1/2) = (sum sigma^4)^(1/4), and
+    lower = (|G g| / |g|)^(1/2) for the column g of G of largest norm, one
+    power step, exact on rank-one blocks. A block whose |G|_F lies outside
+    [1e-60, 1e60] gets the trivial bounds (0, inf): inside that range no
+    step of either bound can overflow or lose accuracy to underflow, and
+    outside it the overflow is expected, so it raises no warning.
+    """
+    if blocks.shape[-2] > blocks.shape[-1]:
+        blocks = blocks.swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = blocks @ blocks.conj().swapaxes(-1, -2)
+        col_sq = (gram.real**2 + gram.imag**2).sum(axis=-2)
+        fro_sq = col_sq.sum(axis=-1)
+        j = col_sq.argmax(axis=-1)[..., None, None]
+        step = gram @ np.take_along_axis(gram, j, axis=-1)
+        step_sq = (step.real**2 + step.imag**2).sum(axis=(-2, -1))
+    valid = (fro_sq >= 1e-120) & (fro_sq <= 1e120)
+    lower = np.divide(step_sq, col_sq.max(axis=-1), out=np.zeros(valid.shape), where=valid)
+    upper = np.where(valid, fro_sq, np.inf)
+    return np.sqrt(np.sqrt(lower)), np.sqrt(np.sqrt(upper))
+
+
 def _trial_sigmas(
-    comps: np.ndarray, trials: int, seed: int, unit_components: bool = False
+    comps: np.ndarray,
+    trials: int,
+    seed: int,
+    unit_components: bool = False,
+    records: str | None = None,
 ) -> np.ndarray:
     """Top singular value of each trial's two C+C blocks, as a (trials, 2) array.
 
     comps holds the two complex components of the tensor with the sampled
     slots leading. Trials run in chunks whose first contraction, the
     largest intermediate array, stays within TRIAL_CHUNK_BYTES.
+
+    With records set, a block gets an SVD only if it can set a new record
+    (see the module docstring); the others read -inf. A record is a new
+    maximum of the trial value max(sigma_1(A1), sigma_1(A2)) for
+    records="trial", or of each component's sigma_1 for records="component".
+    Block (t, c) is skipped only if upper(t, c) (1 + 1e-10) is below
+    floor (1 - 1e-10), where the floor is the largest lower bound from
+    _sigma_bounds over the trials before t (over both components for
+    "trial"). The floor starts at -inf, so trial 0 is always solved, and it
+    is always the lower bound of a solved block, since a skipped block's
+    lower bound is below it. It depends only on the trials before t, so
+    the skipped blocks do not depend on the trial count or the chunking
+    either. A one-trial run computes no bounds.
     """
     sampled = comps.shape[1:-2]
     chunk = max(1, TRIAL_CHUNK_BYTES // (32 * math.prod(comps.shape[2:])))
-    sigmas = np.empty((trials, 2))
+    sigmas = np.full((trials, 2), -np.inf)
+    floor = np.full((1, 1 if records == "trial" else 2), -np.inf)
     for start in range(0, trials, chunk):
         stop = min(trials, start + chunk)
         blocks = _contract_batch(comps, _cc_draws(sampled, start, stop, seed, unit_components))
-        sigmas[start:stop] = np.linalg.svd(blocks, compute_uv=False)[..., 0]
+        if records is None or trials == 1:
+            sigmas[start:stop] = np.linalg.svd(blocks, compute_uv=False)[..., 0]
+            continue
+        lower, upper = _sigma_bounds(blocks)
+        if records == "trial":
+            lower = lower.max(axis=1, keepdims=True)
+        floors = np.maximum.accumulate(np.concatenate([floor, lower]), axis=0)
+        need = upper * (1.0 + 1e-10) >= floors[:-1] * (1.0 - 1e-10)
+        if need.any():
+            sigmas[start:stop][need] = np.linalg.svd(blocks[need], compute_uv=False)[:, 0]
+        floor = floors[-1:]
     return sigmas
 
 
@@ -183,22 +245,37 @@ def _sorted_tensor(form: MultilinearForm) -> np.ndarray:
     return np.transpose(form.tensor.data, perm + [form.order])
 
 
-def form_trial_values(form: MultilinearForm, trials: int, seed: int) -> np.ndarray:
-    """Value of every independent trial, as a (trials,) array.
-
-    Slots are processed in nondecreasing dimension order: the d-2 smallest
-    are sampled on their spheres and the two largest are solved exactly, so
-    a trial's value is max(sigma_1(A1), sigma_1(A2)) of its contracted
-    C+C blocks. For d = 2 the problem is solved exactly once and the array
-    has one entry.
-    """
+def _form_values(form: MultilinearForm, trials: int, seed: int, records: str | None) -> np.ndarray:
     d = form.order
     if d < 2:
         raise ValueError("form must have order at least 2")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     comps = np.stack(cc_split(_sorted_tensor(form)))
-    return _trial_sigmas(comps, trials if d > 2 else 1, seed).max(axis=1)
+    return _trial_sigmas(comps, trials if d > 2 else 1, seed, records=records).max(axis=1)
+
+
+def form_trial_values(form: MultilinearForm, trials: int, seed: int) -> np.ndarray:
+    """Exact value of every independent trial, as a (trials,) array.
+
+    Slots are processed in nondecreasing dimension order: the d-2 smallest
+    are sampled on their spheres and the two largest are solved exactly, so
+    a trial's value is max(sigma_1(A1), sigma_1(A2)) of its contracted
+    C+C blocks. For d = 2 the problem is solved exactly once and the array
+    has one entry. This is the reference for form_running_best, which
+    solves only the trials that can set a new best.
+    """
+    return _form_values(form, trials, seed, None)
+
+
+def form_running_best(form: MultilinearForm, trials: int, seed: int) -> np.ndarray:
+    """Best-of-(t + 1) value for every t, as a (trials,) array.
+
+    Bit for bit np.maximum.accumulate(form_trial_values(form, trials,
+    seed)), but a trial is solved only if its upper bound does not prove
+    that it stays below the best found before it (see _trial_sigmas).
+    """
+    return np.maximum.accumulate(_form_values(form, trials, seed, "trial"))
 
 
 def maximize_form(
@@ -214,8 +291,8 @@ def maximize_form(
     bilinear problem is solved in full for the vectors; the objective is the
     winner's batch value, the same number form_trial_values reports.
     """
-    values = form_trial_values(form, trials, seed)
-    best = int(np.argmax(values))
+    best_so_far = form_running_best(form, trials, seed)
+    best = int(np.argmax(best_so_far))
     d = form.order
     perm = _slot_order(form.dims)
     sampled = [form.dims[s] for s in perm[:-2]]
@@ -227,8 +304,8 @@ def maximize_form(
     ratio = form_ratio_bound(form.dims, gamma) if gamma is not None else None
     return SolveReport(
         solution=solution,
-        objective=float(values[best]),
-        trials=len(values),
+        objective=float(best_so_far[-1]),
+        trials=len(best_so_far),
         best_trial=best,
         seed=seed,
         theoretical_ratio=ratio,
@@ -355,9 +432,10 @@ def _randomized_starts(
     slots, as RandomSource(seed, t) would and exactly as form_trial_values does;
     each component uses its own normalized C+C part of the draw, and the two
     remaining slots are solved exactly by the top singular pair. All trials
-    are valued in one batch; only each component's first best trial is
-    redrawn and given singular vectors. For d = 2 the single exact solve is
-    trial 0.
+    are valued in one batch, each component with an SVD only where it can
+    set a new record of its own (see _trial_sigmas); only each component's
+    first best trial is redrawn and given singular vectors. For d = 2 the
+    single exact solve is trial 0.
     """
     d = comps[0].ndim
     dims = comps[0].shape
@@ -365,7 +443,7 @@ def _randomized_starts(
     free = sorted(set(range(d)) - set(sampled))
     moved = np.stack([np.moveaxis(c, sampled, list(range(d - 2))) for c in comps])
     sampled_dims = [dims[s] for s in sampled]
-    sigmas = _trial_sigmas(moved, trials if d > 2 else 1, seed, unit_components=True)
+    sigmas = _trial_sigmas(moved, trials if d > 2 else 1, seed, unit_components=True, records="component")
     starts = []
     for c, t in enumerate(np.argmax(sigmas, axis=0)):
         xis = _cc_draws(sampled_dims, int(t), int(t) + 1, seed, unit_components=True)

@@ -253,6 +253,19 @@ def test_experiment_unwritable_out_fails_before_the_sweep(tmp_path, runner, monk
     assert len(result.output.splitlines()) == 1
 
 
+def test_failed_sweep_removes_only_an_out_file_it_created(tmp_path, runner):
+    huge = ["experiment", "--n-list", "100000", "--runs", "1", "--trial-schedule", "1", "--out"]
+    created = tmp_path / "huge.csv"
+    result = runner.invoke(main, huge + [str(created)])
+    assert result.exit_code == 1 and result.stderr.startswith("Error: Unable to allocate")
+    assert not created.exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier output\n", encoding="utf-8")
+    result = runner.invoke(main, huge + [str(kept)])
+    assert result.exit_code == 1
+    assert kept.read_text(encoding="utf-8") == "earlier output\n"
+
+
 # 100000^3 entries of 4 doubles is 28 PiB, more than the x86-64 address
 # space, so the allocation fails at once without touching memory.
 @pytest.mark.parametrize("command", ["solve-f", "rank-one", "solve-p"])

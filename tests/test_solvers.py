@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqpoly import (
     CQMatrix,
@@ -225,6 +227,66 @@ def test_trial_values_do_not_depend_on_count_or_chunking(monkeypatch):
     assert np.array_equal(form_trial_values(form, 25, seed=5), chunked)
 
 
+def record_test_tensor(kind, dims, data_seed):
+    g = np.random.default_rng(data_seed)
+    shape = tuple(dims)
+    if kind == "all-ones":
+        return CQTensor.from_real(np.ones(shape))
+    if kind == "real":
+        return CQTensor.from_real(g.uniform(-1, 1, size=shape))
+    if kind == "zero":
+        return CQTensor.zeros(shape)
+    data = g.uniform(-1, 1, size=shape + (4,))
+    if kind == "zero-slice":
+        data[(slice(None),) * int(g.integers(len(shape))) + (0,)] = 0.0
+    return CQTensor(data)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "all-ones", "real", "zero-slice", "zero"]),
+    dims=st.lists(st.integers(1, 5), min_size=3, max_size=5),
+    data_seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(1, 60),
+    chunk=st.sampled_from([None, 1, 3]),
+    # bounds are computed only for Gram norms in [1e-60, 1e60]; these scales fall on both sides
+    scale=st.sampled_from([1.0, 1e-28, 1e28, 1e-200, 1e150]),
+)
+def test_running_best_is_bit_equal_to_the_exact_values(kind, dims, data_seed, trials, chunk, scale):
+    form = MultilinearForm(CQTensor(scale * record_test_tensor(kind, dims, data_seed).data))
+    exact = form_trial_values(form, trials, seed=data_seed)
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            # _trial_sigmas takes TRIAL_CHUNK_BYTES // (32 * entries per trial beyond the first slot)
+            patch.setattr(solvers, "TRIAL_CHUNK_BYTES", chunk * 32 * math.prod(sorted(dims)[1:]))
+        best = solvers.form_running_best(form, trials, seed=data_seed)
+        report = maximize_form(form, trials, seed=data_seed)
+    assert best.tobytes() == np.maximum.accumulate(exact).tobytes()
+    assert report.best_trial == int(np.argmax(exact))
+    assert report.objective == exact.max()
+
+
+def test_few_blocks_reach_the_svd_and_one_trial_computes_no_bounds(monkeypatch):
+    blocks_per_call = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        blocks_per_call.append(math.prod(a.shape[:-2]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    run_experiment(ExperimentConfig(n_list=(7,), trial_schedule=(1000,), runs=1, seed=3))
+    assert sum(blocks_per_call) <= 0.05 * 2 * 1000
+
+    def no_bounds(blocks):
+        raise AssertionError("a one-trial run computed bounds")
+
+    monkeypatch.setattr(solvers, "_sigma_bounds", no_bounds)
+    blocks_per_call.clear()
+    run_experiment(ExperimentConfig(n_list=(7,), trial_schedule=(1,), runs=1, seed=3))
+    assert blocks_per_call == [2]
+
+
 def test_maximize_form_agrees_with_experiment_checkpoint():
     config = ExperimentConfig(n_list=(4,), trial_schedule=(1, 7, 60), runs=1, seed=21)
     rows = run_experiment(config)
@@ -267,8 +329,16 @@ def per_trial_starts(tensor, trials, seed):
 
 def test_rank_one_start_trials_match_per_trial_reference():
     g = np.random.default_rng(13)
-    for shape in [(3, 4, 2), (2, 3, 2, 3)]:
-        tensor = CQTensor(g.uniform(-1, 1, size=shape + (4,)))
+    zero_slice = g.uniform(-1, 1, size=(3, 4, 3, 4))
+    zero_slice[:, 1] = 0.0
+    tensors = [CQTensor(g.uniform(-1, 1, size=shape + (4,))) for shape in [(3, 4, 2), (2, 3, 2, 3), (5, 4, 2)]]
+    tensors += [
+        CQTensor.from_real(np.ones((3, 4, 5))),
+        CQTensor.from_real(g.uniform(-1, 1, size=(4, 3, 3))),
+        CQTensor(zero_slice),
+        CQTensor(cc_join(g.normal(size=(3, 3, 4)) + 1j * g.normal(size=(3, 3, 4)), np.zeros((3, 3, 4)))),
+    ]
+    for tensor in tensors:
         reference = per_trial_starts(tensor, 60, seed=3)
         starts = solvers._randomized_starts(cc_split(tensor.data), 60, seed=3)
         assert [t for t, _ in starts] == [t for _, t in reference]
