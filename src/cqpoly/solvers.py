@@ -49,6 +49,8 @@ from .sampling import sphere_draws
 DEGENERATE_NORM = 1e-12
 HOPM_MAX_SWEEPS = 500
 HOPM_TOL = 1e-14
+# best_rank_one rescales a tensor whose largest entry has a binary exponent beyond +-this.
+RANK_ONE_SAFE_EXPONENT = 400
 EIGHTH_TURN = np.exp(0.25j * np.pi)
 # Bound in bytes on the largest intermediate array of one chunk of batched trials.
 TRIAL_CHUNK_BYTES = 1 << 24
@@ -87,7 +89,7 @@ def solve_bilinear(A: CQMatrix) -> BilinearSolution:
     degenerate.
     """
     m, n = A.shape
-    if A.norm() == 0.0:
+    if not A.data.any():
         return BilinearSolution(CQVector.basis(m, 0), CQVector.basis(n, 0), 0.0, True)
     blocks = np.stack(cc_split(A.data))
     if m == n and np.array_equal(A.data, A.data.transpose(1, 0, 2)):
@@ -334,7 +336,7 @@ def maximize_poly(
         raise ValueError("degree must be at least 2")
     form = symmetrize(poly)
     ratio = poly_ratio_bound(d, n, gamma) if gamma is not None else None
-    if form.tensor.norm() == 0.0:
+    if not form.tensor.data.any():
         return SolveReport(
             solution=[CQVector.basis(n, 0)],
             objective=0.0,
@@ -376,7 +378,8 @@ class RankOneResult:
     ``residual`` is the norm formula sqrt(max(0, |T|^2 - lam^2)); it never
     falls below the direct residual and equals it exactly when
     |outer(factors)| = 1, which covers every real tensor. ``identity_gap``
-    is the difference of the squared values. Off the real subalgebra unit
+    is the difference of the squared values, inf where it exceeds the float
+    range. Off the real subalgebra unit
     factors can have an outer product of any norm up to 2^((d-1)/2), since
     the ring has zero divisors; this is also why the maximum of Re F on unit
     spheres is not the scale of the best rank-one approximation there.
@@ -392,12 +395,17 @@ class RankOneResult:
     seed: int
 
 
-def _contract_except(data: np.ndarray, xs: Sequence[np.ndarray], keep: int) -> np.ndarray:
-    """Contract a complex tensor with xs[j] in every slot j except keep."""
-    for j in reversed(range(data.ndim)):
-        if j != keep:
-            data = np.tensordot(data, xs[j], axes=([j], [0]))
-    return data
+def _contract(data: np.ndarray, j: int, x: np.ndarray) -> np.ndarray:
+    """Contract slot j of a complex tensor with the vector x.
+
+    This is the one BLAS product np.tensordot(data, x, axes=([j], [0]))
+    reduces to, on operands of the same shapes: slot j moved last, the rest
+    flattened into rows, times x as a column. So the result is bit for bit
+    tensordot's, without its Python argument handling.
+    """
+    perm = [*range(j), *range(j + 1, data.ndim), j]
+    rest = data.shape[:j] + data.shape[j + 1 :]
+    return np.dot(data.transpose(perm).reshape(-1, x.shape[0]), x.reshape(-1, 1)).reshape(rest)
 
 
 def _hopm(data: np.ndarray, xs: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
@@ -407,13 +415,31 @@ def _hopm(data: np.ndarray, xs: list[np.ndarray]) -> tuple[float, list[np.ndarra
     one slot to the conjugate direction of its partial contraction, which
     never decreases |f| (De Lathauwer, De Moor & Vandewalle, SIAM J. Matrix
     Anal. Appl. 2000). Returns the final |f|, which f itself then equals.
+
+    The update of slot k contracts slots d-1, ..., k+1 and then k-1, ..., 0,
+    last slot first, one _contract each, and takes the norm by numpy's own
+    formula for a complex vector, sqrt(re.re + im.im). So every step is the
+    arithmetic of np.tensordot and np.linalg.norm on the same operands, and
+    the result is theirs bit for bit. No update of a sweep has changed
+    slots k+1, ..., d-1 yet when slot k is updated, so each sweep contracts
+    those suffixes once, at its start, and every update shares them:
+    (d - 1) + d (d - 1) / 2 products per sweep instead of d (d - 1). The
+    first sweep's suffix for slot 0 also gives the starting value.
     """
-    value = abs(complex(_contract_except(data, xs, 0) @ xs[0]))
+    d = data.ndim
+    value = None
     for _ in range(HOPM_MAX_SWEEPS):
+        suffixes = [data] * d  # suffixes[k]: slots d-1, ..., k+1 contracted
+        for j in reversed(range(1, d)):
+            suffixes[j - 1] = _contract(suffixes[j], j, xs[j])
+        if value is None:
+            value = abs(complex(suffixes[0] @ xs[0]))
         previous = value
-        for k in range(data.ndim):
-            g = _contract_except(data, xs, k)
-            norm = float(np.linalg.norm(g))
+        for k in range(d):
+            g = suffixes[k]
+            for j in reversed(range(k)):
+                g = _contract(g, j, xs[j])
+            norm = math.sqrt(g.real.dot(g.real) + g.imag.dot(g.imag))
             if norm == 0.0:
                 return value, xs
             xs[k] = g.conj() / norm
@@ -467,14 +493,25 @@ def best_rank_one(tensor: CQTensor, trials: int, seed: int) -> RankOneResult:
     with unit quaternion factors whose component c is rho_c u_c, where
     rho_1^2 + rho_2^2 = 2 and lam rho_c^d = s_c. ``best_trial`` is the
     winning trial of the component with the larger s_c.
+
+    A tensor whose largest entry is m 2^e (1/2 <= m < 1) with |e| >
+    RANK_ONE_SAFE_EXPONENT is solved as T / 2^e, a scaling exact for every
+    entry that stays in the normal range, and lam and both residuals are
+    scaled back by 2^e and identity_gap by 2^(2e). Inside that range no
+    squared norm of the solve overflows or underflows.
     """
     d = tensor.order
     if d < 2:
         raise ValueError("rank-one approximation needs a tensor of order at least 2")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if tensor.norm() == 0.0:
+    if not tensor.data.any():
         raise ValueError("zero tensor has no rank-one approximation direction")
+    e = math.frexp(float(np.abs(tensor.data).max()))[1]
+    if abs(e) <= RANK_ONE_SAFE_EXPONENT:
+        e = 0
+    else:
+        tensor = CQTensor(np.ldexp(tensor.data, -e))
     comps = cc_split(tensor.data)
     starts = _randomized_starts(comps, trials, seed)
     scales, directions = [], []
@@ -491,6 +528,10 @@ def best_rank_one(tensor: CQTensor, trials: int, seed: int) -> RankOneResult:
     approx = outer_product(factors)
     direct = float(np.sqrt(((lam * approx.data - tensor.data) ** 2).sum()))
     identity_gap = abs((norm_sq - lam * lam) - direct * direct)
+    if e:
+        with np.errstate(over="ignore"):
+            lam, residual, direct = (float(np.ldexp(v, e)) for v in (lam, residual, direct))
+            identity_gap = float(np.ldexp(identity_gap, 2 * e))
     return RankOneResult(
         lam=lam,
         factors=factors,

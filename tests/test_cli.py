@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,21 @@ def test_rank_one_zero_tensor_fails(tmp_path, runner):
     path = write(tmp_path / "zero.cqt", "CQT1\norder 3\ndims 2 2 2\n")
     result = runner.invoke(main, ["rank-one", "--tensor", path])
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize("scale", [2.0**700, 2.0**-700, 1e200], ids=["2^700", "2^-700", "1e200"])
+def test_extreme_scale_tensor_files_solve_cleanly(tmp_path, runner, scale):
+    # the squares of these entries overflow or underflow
+    data = np.random.default_rng(14).normal(size=(4, 5, 6, 4))
+    path = tmp_path / "scaled.cqt"
+    write_tensor(CQTensor(scale * data), path)
+    for command in ("rank-one", "solve-f"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, [command, "--tensor", str(path), "--trials", "30", "--seed", "1"])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        assert "degenerate: true" not in result.output
 
 
 def test_experiment_csv_and_determinism(tmp_path, runner):

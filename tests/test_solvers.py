@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -508,6 +509,106 @@ def test_rank_one_formula_bounds_direct_residual():
 def test_rank_one_rejects_zero():
     with pytest.raises(ValueError):
         best_rank_one(CQTensor(np.zeros((2, 2, 4))), 10, seed=0)
+
+
+def tensordot_contract_except(data, xs, keep):
+    for j in reversed(range(data.ndim)):
+        if j != keep:
+            data = np.tensordot(data, xs[j], axes=([j], [0]))
+    return data
+
+
+def reference_hopm(data, xs):
+    # the power method with a tensordot per contraction and a norm per update
+    value = abs(complex(tensordot_contract_except(data, xs, 0) @ xs[0]))
+    for _ in range(solvers.HOPM_MAX_SWEEPS):
+        previous = value
+        for k in range(data.ndim):
+            g = tensordot_contract_except(data, xs, k)
+            norm = float(np.linalg.norm(g))
+            if norm == 0.0:
+                return value, xs
+            xs[k] = g.conj() / norm
+            value = norm
+        if value - previous <= solvers.HOPM_TOL * value:
+            break
+    return value, xs
+
+
+def rank_one_bits(result):
+    scalars = (result.lam, result.residual, result.direct_residual, result.identity_gap)
+    return np.array(scalars).tobytes(), result.best_trial, [f.data.tobytes() for f in result.factors]
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "real", "zero-component"]),
+    dims=st.lists(st.integers(1, 5), min_size=2, max_size=5),
+    data_seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(1, 40),
+    scale=st.sampled_from([1.0, 1e100, 1e-100]),
+)
+def test_hopm_is_bit_equal_to_the_tensordot_reference(kind, dims, data_seed, trials, scale):
+    g = np.random.default_rng(data_seed)
+    shape = tuple(dims)
+    if kind == "real":
+        tensor = CQTensor.from_real(g.normal(size=shape))
+    elif kind == "zero-component":
+        tensor = CQTensor(cc_join(g.normal(size=shape) + 1j * g.normal(size=shape), np.zeros(shape)))
+    else:
+        tensor = CQTensor(g.normal(size=shape + (4,)))
+    tensor = CQTensor(scale * tensor.data)
+    result = best_rank_one(tensor, trials, seed=data_seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_hopm", reference_hopm)
+        reference = best_rank_one(tensor, trials, seed=data_seed)
+    assert rank_one_bits(result) == rank_one_bits(reference)
+
+
+def test_rank_one_solve_makes_no_tensordot_call(monkeypatch):
+    def no_tensordot(*args, **kwargs):
+        raise AssertionError("np.tensordot was called")
+
+    monkeypatch.setattr(np, "tensordot", no_tensordot)
+    tensor = CQTensor(np.random.default_rng(21).normal(size=(4, 5, 6, 4)))
+    assert best_rank_one(tensor, 30, seed=1).lam > 0.0
+
+
+def test_rank_one_scales_with_the_tensor_at_extreme_scales():
+    # squares of entries near 2^+-700 overflow or underflow, so the solve must rescale
+    tensor = CQTensor(np.random.default_rng(22).normal(size=(4, 5, 6, 4)))
+    base = best_rank_one(tensor, 30, seed=1)
+    for scale in (2.0**700, 2.0**-700, 1e200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = best_rank_one(CQTensor(scale * tensor.data), 30, seed=1)
+        assert result.lam == pytest.approx(scale * base.lam, rel=1e-12, abs=0.0)
+        assert result.direct_residual == pytest.approx(scale * base.direct_residual, rel=1e-12, abs=0.0)
+        assert result.best_trial == base.best_trial
+        for f in result.factors:
+            assert f.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_solvers_see_tiny_and_huge_inputs_as_nonzero():
+    g = np.random.default_rng(23)
+    tensor = g.normal(size=(3, 4, 5, 4))
+    for scale in (2.0**700, 2.0**-700):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            form = MultilinearForm(CQTensor(scale * tensor))
+            report = maximize_form(form, 20, seed=3)
+            assert not report.degenerate
+            assert form(*report.solution).re == pytest.approx(report.objective, rel=1e-9, abs=0.0)
+            sol = solve_bilinear(CQMatrix(scale * tensor[:, :, 0]))
+            unscaled = solve_bilinear(CQMatrix(tensor[:, :, 0]))
+            assert not sol.degenerate
+            assert sol.value == pytest.approx(scale * unscaled.value, rel=1e-12)
+            poly = PolyProblem(3, 3)
+            for idx in itertools.combinations_with_replacement((1, 2, 3), 3):
+                poly.add_term(idx, CQuat(*(scale * g.normal(size=4))))
+            poly_report = maximize_poly(poly, 20, seed=3)
+            assert not poly_report.degenerate
+            assert poly(poly_report.solution[0]).re == pytest.approx(poly_report.objective, rel=1e-9, abs=0.0)
 
 
 def test_form_ratio_bound_values():
