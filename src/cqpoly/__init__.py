@@ -13,8 +13,6 @@ from .experiment import (
 from .forms import (
     MultilinearForm,
     PolyProblem,
-    lift_to_poly,
-    sign_average_identity,
     symmetrize,
 )
 from .io import (
@@ -34,20 +32,10 @@ from .linalg import (
     CQVector,
     cc_join,
     cc_split,
-    inner_product,
     outer_product,
-    re_bilinear,
-    real_block,
-    tensor_inner,
-    unvec_real,
-    vec_real,
 )
 from .problab import (
-    BoundCurveRow,
-    ChiSquareTailCheck,
     ProbeResult,
-    bound_curves,
-    check_chi_square_tail,
     estimate_tail_prob,
 )
 from .sampling import RandomSource
@@ -79,18 +67,10 @@ __all__ = [
     "CQTensor",
     "cc_split",
     "cc_join",
-    "inner_product",
-    "re_bilinear",
-    "real_block",
-    "vec_real",
-    "unvec_real",
     "outer_product",
-    "tensor_inner",
     "MultilinearForm",
     "PolyProblem",
     "symmetrize",
-    "lift_to_poly",
-    "sign_average_identity",
     "RandomSource",
     "BilinearSolution",
     "SolveReport",
@@ -104,11 +84,7 @@ __all__ = [
     "poly_ratio_bound",
     "form_trial_values",
     "ProbeResult",
-    "ChiSquareTailCheck",
-    "BoundCurveRow",
     "estimate_tail_prob",
-    "check_chi_square_tail",
-    "bound_curves",
     "ExperimentConfig",
     "ExperimentRow",
     "all_ones_instance",

@@ -6,10 +6,6 @@ coefficient map on sorted index tuples. Symmetrization spreads each
 coefficient uniformly over the distinct permutations of its tuple, which
 makes the polynomial equal to the form evaluated on a repeated argument.
 
-The sign-average identity links the two: averaging sign-weighted diagonal
-evaluations over all 2^d sign vectors recovers d! times the multilinear
-form. The average here is exact (full enumeration), not sampled.
-
 Polynomials are evaluated on arrays in the order of CQuat arithmetic, so
 the bits are the same: each term is the coefficient times its entries in
 index order, and the terms are summed in insertion order from +0.0.
@@ -19,7 +15,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 from typing import Mapping, Sequence
 
@@ -27,9 +22,6 @@ import numpy as np
 
 from .core import CQuat
 from .linalg import CQMatrix, CQTensor, CQVector, qprod
-
-MAX_SIGN_ENUM_DEGREE = 20
-
 
 def _contract_leading(data: np.ndarray, vectors: Sequence[CQVector]) -> np.ndarray:
     """Contract the leading axes of a (..., 4) array with the given vectors."""
@@ -181,46 +173,3 @@ def symmetrize(poly: PolyProblem) -> MultilinearForm:
         data[tuple(np.moveaxis(entries, -1, 0))] = np.array(values)[:, None] / len(labels)
     return MultilinearForm(CQTensor(data))
 
-
-def lift_to_poly(form: MultilinearForm) -> PolyProblem:
-    """Polynomial in the stacked variable whose evaluation equals the form.
-
-    Slot k of the form is mapped to the k-th block of the stacked vector, so
-    evaluating the lift at (x^1; ...; x^d) reproduces F(x^1, ..., x^d).
-    """
-    dims = form.dims
-    offsets = np.concatenate([[0], np.cumsum(dims[:-1])])
-    poly = PolyProblem(degree=form.order, dim=int(sum(dims)))
-    data = form.tensor.data
-    for idx in np.ndindex(*dims):
-        comps = data[idx]
-        if not comps.any():
-            continue
-        stacked = tuple(int(offsets[k] + i + 1) for k, i in enumerate(idx))
-        poly.add_term(stacked, CQuat(*comps))
-    return poly
-
-
-def sign_average_identity(form: MultilinearForm, xs: Sequence[CQVector]) -> tuple[CQuat, CQuat]:
-    """Exact sign-average of diagonal evaluations next to d! times the form.
-
-    The left value averages prod(s) * H(sum_k s_k x^k) over all 2^d sign
-    vectors s, where H is the diagonal restriction of the form; the right
-    value is d! * F(x^1, ..., x^d). For a super-symmetric form the two agree.
-    """
-    d = form.order
-    if d > MAX_SIGN_ENUM_DEGREE:
-        raise ValueError(f"degree {d} exceeds the enumeration guard {MAX_SIGN_ENUM_DEGREE}")
-    if len(set(form.dims)) != 1:
-        raise ValueError("sign average needs equal slot dimensions")
-    if len(xs) != d:
-        raise ValueError(f"expected {d} vectors, got {len(xs)}")
-    total = np.zeros(4)
-    for signs in itertools.product((1.0, -1.0), repeat=d):
-        combo = CQVector(sum(s * x.data for s, x in zip(signs, xs)))
-        value = form(*([combo] * d))
-        total += math.prod(signs) * np.array(value.components())
-    lhs = CQuat(*(total / 2**d))
-    rhs_val = form(*xs)
-    rhs = CQuat(*(math.factorial(d) * np.array(rhs_val.components())))
-    return lhs, rhs

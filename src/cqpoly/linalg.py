@@ -4,20 +4,7 @@ Storage convention: every container wraps a read-only float64 ndarray whose
 last axis has length 4 and holds the (1, i, j, k) components. A vector is
 (n, 4), a matrix (m, n, 4), an order-d tensor (n1, ..., nd, 4).
 
-The real embedding used by the exact bilinear solver stacks the component
-vectors in the fixed order (x0; x1; x2; x3), and maps a matrix A to the
-4m x 4n real grid
-
-    [[ A0, -A1,  A2, -A3],
-     [-A1, -A0, -A3, -A2],
-     [ A2, -A3,  A0, -A1],
-     [-A3, -A2, -A1, -A0]]
-
-so that Re(x^T A y) = vec(x)^T block(A) vec(y) for all x, y. real_block
-returns that grid as a read-only ndarray. It is kept as an independent
-oracle; the solvers do not use it.
-
-The solvers work in C+C coordinates instead. The idempotents
+The solvers work in C+C coordinates. The idempotents
 e1 = (1 + j)/2 and e2 = (1 - j)/2 split q = w + x i + y j + z k as
 q = z1 e1 + z2 e2 with the complex numbers
 
@@ -31,11 +18,16 @@ Tosun, AACA 2014). See :func:`cc_split` and :func:`cc_join`.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import CQuat
+
+# norm() and best_rank_one scale an array whose largest entry lies outside
+# 2^(+-SAFE_EXPONENT) by an exact power of two, so that no square overflows or underflows.
+SAFE_EXPONENT = 400
 
 
 def qprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -66,6 +58,12 @@ def cc_join(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     )
 
 
+def scale_exponent(data: np.ndarray) -> int:
+    """The e of the largest |entry| m 2^e (1/2 <= m < 1) when |e| > SAFE_EXPONENT, else 0."""
+    e = math.frexp(float(np.abs(data).max(initial=0.0)))[1]
+    return e if abs(e) > SAFE_EXPONENT else 0
+
+
 def _freeze(data, ndim: int | None, what: str) -> np.ndarray:
     """A read-only float64 copy of data with ndim axes (None: at least 2), the last of length 4."""
     arr = np.array(data, dtype=np.float64)
@@ -91,7 +89,15 @@ class _Container:
         return cls(data)
 
     def norm(self) -> float:
-        return float(np.sqrt((self.data**2).sum()))
+        """Frobenius norm, taken of data / 2^e for e = scale_exponent(data) != 0; inf past the float range."""
+        e = scale_exponent(self.data)
+        if not e:
+            return float(np.sqrt((self.data**2).sum()))
+        scaled = float(np.sqrt((np.ldexp(self.data, -e) ** 2).sum()))
+        try:
+            return math.ldexp(scaled, e)
+        except OverflowError:
+            return math.inf
 
 
 class CQVector(_Container):
@@ -209,59 +215,6 @@ class CQTensor(_Container):
         return f"CQTensor(dims={self.dims})"
 
 
-def inner_product(q: CQVector, p: CQVector) -> float:
-    """Re(q^H p): the sum q0.p0 + q1.p1 + q2.p2 + q3.p3, always real."""
-    if len(q) != len(p):
-        raise ValueError(f"length mismatch: {len(q)} vs {len(p)}")
-    return float((q.data * p.data).sum())
-
-
-def re_bilinear(x: CQVector, A: CQMatrix, y: CQVector) -> float:
-    """Re(x^T A y) with a plain transpose, computed in quaternion arithmetic."""
-    m, n = A.shape
-    if len(x) != m or len(y) != n:
-        raise ValueError(f"dimension mismatch: x has {len(x)}, A is {m}x{n}, y has {len(y)}")
-    Ay = qprod(A.data, y.data[None, :, :]).sum(axis=1)
-    s = qprod(x.data, Ay).sum(axis=0)
-    return float(s[0])
-
-
-def real_block(A: CQMatrix) -> np.ndarray:
-    """Real 4m x 4n embedding of A whose bilinear form equals re_bilinear.
-
-    Row blocks follow the (x0, x1, x2, x3) order and column blocks the
-    (y0, y1, y2, y3) order used by :func:`vec_real`; the array is read-only.
-    """
-    m, n = A.shape
-    A0, A1, A2, A3 = (A.data[..., c] for c in range(4))
-    grid = [
-        [A0, -A1, A2, -A3],
-        [-A1, -A0, -A3, -A2],
-        [A2, -A3, A0, -A1],
-        [-A3, -A2, -A1, -A0],
-    ]
-    out = np.empty((4 * m, 4 * n))
-    for bi in range(4):
-        for bj in range(4):
-            out[bi * m : (bi + 1) * m, bj * n : (bj + 1) * n] = grid[bi][bj]
-    out.flags.writeable = False
-    return out
-
-
-def vec_real(x: CQVector) -> np.ndarray:
-    """Stack the component vectors as (x0; x1; x2; x3); preserves the norm."""
-    return np.concatenate([x.data[:, c] for c in range(4)])
-
-
-def unvec_real(stacked: np.ndarray) -> CQVector:
-    """Inverse of vec_real."""
-    stacked = np.asarray(stacked, dtype=np.float64)
-    if stacked.ndim != 1 or stacked.size % 4 != 0:
-        raise ValueError(f"expected a flat vector of length 4n, got shape {stacked.shape}")
-    n = stacked.size // 4
-    return CQVector(np.stack([stacked[c * n : (c + 1) * n] for c in range(4)], axis=-1))
-
-
 def outer_product(vectors: Sequence[CQVector]) -> CQTensor:
     """Order-d tensor with entries given by the quaternion product of slot entries.
 
@@ -277,9 +230,3 @@ def outer_product(vectors: Sequence[CQVector]) -> CQTensor:
         data = qprod(left, right)
     return CQTensor(data)
 
-
-def tensor_inner(T: CQTensor, K: CQTensor) -> float:
-    """Sum of the four real component-tensor inner products."""
-    if T.dims != K.dims:
-        raise ValueError(f"shape mismatch: {T.dims} vs {K.dims}")
-    return float((T.data * K.data).sum())

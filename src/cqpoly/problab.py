@@ -1,4 +1,4 @@
-"""Monte Carlo validation of the sphere tail inequality and chi-square bounds.
+"""Monte Carlo estimate of the sphere tail inequality.
 
 The tail probe estimates Prob{Re(a^T xi) >= sqrt(gamma ln n / n) * |a|} for
 xi uniform on the quaternion unit sphere. The bound curves attached to the
@@ -40,24 +40,6 @@ class ProbeResult:
     empirical_prob: float
     bound45: float
     bound_improved: float | None
-
-
-@dataclass(frozen=True)
-class ChiSquareTailCheck:
-    empirical: float
-    bound: float
-    slack: float
-
-    @property
-    def passed(self) -> bool:
-        return self.empirical <= self.bound + self.slack
-
-
-@dataclass(frozen=True)
-class BoundCurveRow:
-    n: int
-    bound45: float
-    bound_improved: float
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -141,52 +123,3 @@ def estimate_tail_prob(
         bound_improved=improved,
     )
 
-
-def check_chi_square_tail(t: float, b, samples: int, seed: int) -> ChiSquareTailCheck:
-    """Monte Carlo check of the weighted chi-square deviation bound.
-
-    Draws z = sum_i b_i (eta_i^2 - 1) with standard normal eta and measures
-    how often z >= 2|b|sqrt(t) + 2 max(b) t; the bound is exp(-t) and the
-    slack is four Monte Carlo standard errors of the bound.
-    """
-    _check_positive("t", t)
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 1 or b.size == 0:
-        raise ValueError("b must be a nonempty vector")
-    if np.any(b < 0):
-        raise ValueError("b must be componentwise nonnegative")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    cutoff = 2 * float(np.sqrt((b**2).sum())) * math.sqrt(t) + 2 * float(b.max()) * t
-    hits = 0
-    for stream, size in _batches(samples, 8 * b.size):
-        src = RandomSource(seed, stream=stream)
-        eta = src.normals((size, b.size))
-        z = (eta**2 - 1.0) @ b
-        hits += int((z >= cutoff).sum())
-    bound = math.exp(-t)
-    slack = 4 * math.sqrt(bound / samples)
-    return ChiSquareTailCheck(empirical=hits / samples, bound=bound, slack=slack)
-
-
-def bound_curves(n_range, gamma: float, delta: float) -> list[BoundCurveRow]:
-    """Both tail lower-bound curves with unit constants, per dimension.
-
-    Emits n^(-4.5 gamma)/sqrt(ln n) next to
-    n^(-(2 + delta + delta^2/2) gamma)/sqrt(ln n) for plotting or tabulation.
-    """
-    _check_positive("gamma", gamma)
-    improved_exp = _improved_exponent(gamma, delta)
-    rows = []
-    for n in n_range:
-        n = int(n)
-        if n < 2:
-            raise ValueError("dimensions must be at least 2")
-        rows.append(
-            BoundCurveRow(
-                n=n,
-                bound45=n ** (-4.5 * gamma) / math.sqrt(math.log(n)),
-                bound_improved=n ** (-improved_exp) / math.sqrt(math.log(n)),
-            )
-        )
-    return rows

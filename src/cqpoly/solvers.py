@@ -43,14 +43,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .forms import MultilinearForm, PolyProblem, symmetrize
-from .linalg import CQMatrix, CQTensor, CQVector, cc_join, cc_split, outer_product
+from .linalg import CQMatrix, CQTensor, CQVector, cc_join, cc_split, outer_product, scale_exponent
 from .sampling import sphere_draws
 
 DEGENERATE_NORM = 1e-12
 HOPM_MAX_SWEEPS = 500
 HOPM_TOL = 1e-14
-# best_rank_one rescales a tensor whose largest entry has a binary exponent beyond +-this.
-RANK_ONE_SAFE_EXPONENT = 400
 EIGHTH_TURN = np.exp(0.25j * np.pi)
 # Bound in bytes on the largest intermediate array of one chunk of batched trials.
 TRIAL_CHUNK_BYTES = 1 << 24
@@ -495,7 +493,7 @@ def best_rank_one(tensor: CQTensor, trials: int, seed: int) -> RankOneResult:
     winning trial of the component with the larger s_c.
 
     A tensor whose largest entry is m 2^e (1/2 <= m < 1) with |e| >
-    RANK_ONE_SAFE_EXPONENT is solved as T / 2^e, a scaling exact for every
+    linalg.SAFE_EXPONENT is solved as T / 2^e, a scaling exact for every
     entry that stays in the normal range, and lam and both residuals are
     scaled back by 2^e and identity_gap by 2^(2e). Inside that range no
     squared norm of the solve overflows or underflows.
@@ -507,10 +505,8 @@ def best_rank_one(tensor: CQTensor, trials: int, seed: int) -> RankOneResult:
         raise ValueError("trials must be at least 1")
     if not tensor.data.any():
         raise ValueError("zero tensor has no rank-one approximation direction")
-    e = math.frexp(float(np.abs(tensor.data).max()))[1]
-    if abs(e) <= RANK_ONE_SAFE_EXPONENT:
-        e = 0
-    else:
+    e = scale_exponent(tensor.data)
+    if e:
         tensor = CQTensor(np.ldexp(tensor.data, -e))
     comps = cc_split(tensor.data)
     starts = _randomized_starts(comps, trials, seed)

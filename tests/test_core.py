@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import cqpoly
 from cqpoly import CQuat, I, J, K, ONE
 from cqpoly.linalg import qprod
 
@@ -54,27 +57,29 @@ def test_magnitude_not_multiplicative():
     assert abs(p) * abs(q) == pytest.approx(2.0)
 
 
-def test_commutativity():
-    for _ in range(300):
-        p, q = rand_quat(), rand_quat()
-        lhs, rhs = (p * q).components(), (q * p).components()
-        assert max(abs(a - b) for a, b in zip(lhs, rhs)) <= 1e-12
+components = st.floats(-4.0, 4.0)
+# (1 + j)(1 - j) = (i + k)(i - k) = 0, so scaled copies of these are zero-divisor pairs
+quats = st.one_of(
+    st.tuples(components, components, components, components).map(lambda c: CQuat(*c)),
+    st.builds(lambda s, z: s * z, components, st.sampled_from([ONE + J, ONE - J, I + K, I - K])),
+)
 
 
-def test_associativity():
-    for _ in range(300):
-        p, q, r = rand_quat(), rand_quat(), rand_quat()
-        lhs = ((p * q) * r).components()
-        rhs = (p * (q * r)).components()
-        assert max(abs(a - b) for a, b in zip(lhs, rhs)) <= 1e-10
+def assert_close(a, b, tol):
+    assert max(abs(x - y) for x, y in zip(np.ravel(a), np.ravel(b))) <= tol
 
 
-def test_distributivity():
-    for _ in range(300):
-        p, q, r = rand_quat(), rand_quat(), rand_quat()
-        lhs = (p * (q + r)).components()
-        rhs = (p * q + p * r).components()
-        assert max(abs(a - b) for a, b in zip(lhs, rhs)) <= 1e-12
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(p=quats, q=quats, r=quats)
+@example(p=ONE + J, q=ONE - J, r=I - K)
+def test_ring_laws(p, q, r):
+    assert_close((p * q).components(), (q * p).components(), 1e-12)
+    assert_close(((p * q) * r).components(), (p * (q * r)).components(), 1e-10)
+    assert_close((p * (q + r)).components(), (p * q + p * r).components(), 1e-12)
+    a, b, c = (np.array(x.components()) for x in (p, q, r))
+    assert_close(qprod(a, b), qprod(b, a), 1e-12)
+    assert_close(qprod(qprod(a, b), c), qprod(a, qprod(b, c)), 1e-10)
+    assert_close(qprod(a, b + c), qprod(a, b) + qprod(a, c), 1e-12)
 
 
 def test_magnitude_squared_is_re_q_conj_q():
@@ -103,3 +108,9 @@ def test_real_scalar_operations():
 def test_rendering_fixed_component_order():
     assert str(CQuat(1, -2, 0.5, -1)) == "1 - 2i + 0.5j - 1k"
     assert str(CQuat()) == "0 + 0i + 0j + 0k"
+
+
+def test_every_exported_name_resolves():
+    assert len(set(cqpoly.__all__)) == len(cqpoly.__all__)
+    for name in cqpoly.__all__:
+        assert getattr(cqpoly, name) is not None

@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cqpoly import (
-    CQVector,
-    bound_curves,
-    check_chi_square_tail,
-    estimate_tail_prob,
-)
+from cqpoly import CQVector, estimate_tail_prob
 from cqpoly.sampling import RandomSource
+from .oracles import check_chi_square_tail
 
 
 def test_tail_probability_is_positive():
@@ -37,11 +33,21 @@ def test_tail_probability_rotation_invariance():
 
 
 def test_tail_probability_scale_invariance_in_a():
-    # doubling a doubles both sides of the event, so counts agree draw for draw
+    # a power-of-two scale multiplies both sides of the event exactly, so counts agree draw for draw
+    samples = 50_000
     a = CQVector.from_real([0.3, -0.8, 0.5])
-    p1 = estimate_tail_prob(3, 0.4, samples=50_000, seed=4, a=a)
-    p2 = estimate_tail_prob(3, 0.4, samples=50_000, seed=4, a=2.0 * a)
-    assert p1.empirical_prob == p2.empirical_prob
+    p1 = estimate_tail_prob(3, 0.4, samples=samples, seed=4, a=a)
+    for scale in (2.0, 2.0**600, 2.0**-600):
+        p2 = estimate_tail_prob(3, 0.4, samples=samples, seed=4, a=scale * a)
+        assert p1.empirical_prob == p2.empirical_prob
+    # other scales round, so the counts agree within the band of the rotation test
+    p = max(p1.empirical_prob, 1 / samples)
+    band = 4 * math.sqrt(2 * p * (1 - p) / samples)
+    for scale in (1e-170, 1e200):
+        p2 = estimate_tail_prob(3, 0.4, samples=samples, seed=4, a=scale * a)
+        assert abs(p1.empirical_prob - p2.empirical_prob) <= band
+    for scale in (2.0**600, 2.0**-600, 1e-170, 1e200):
+        assert (scale * a).unit().norm() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_tail_probability_monotone_in_gamma():
@@ -96,34 +102,29 @@ def test_chi_square_tail_single_weight():
     assert check.empirical <= math.exp(-1.0) + check.slack
 
 
-def test_chi_square_tail_validation():
-    with pytest.raises(ValueError):
-        check_chi_square_tail(t=0.0, b=[1.0], samples=1000, seed=0)
-    with pytest.raises(ValueError):
-        check_chi_square_tail(t=1.0, b=[-1.0], samples=1000, seed=0)
-    with pytest.raises(ValueError):
-        check_chi_square_tail(t=1.0, b=[], samples=1000, seed=0)
+def probe_bounds(n, gamma, delta):
+    """The probe's two bound curves at dimension n, from its smallest run."""
+    probe = estimate_tail_prob(n, gamma, samples=1000, seed=0, delta=delta)
+    return probe.bound45, probe.bound_improved
 
 
 def test_bound_curves_exponent_ordering():
-    rows = bound_curves(range(2, 8), gamma=1.0, delta=1.0)
-    for row in rows:
+    for n in range(2, 8):
+        bound45, improved = probe_bounds(n, gamma=1.0, delta=1.0)
         # exponent 3.5 beats 4.5, so the improved curve sits above
-        assert row.bound_improved > row.bound45
+        assert improved > bound45
 
 
 def test_bound_curves_small_delta_limit():
-    rows = bound_curves([10], gamma=1.0, delta=1e-9)
+    _, improved = probe_bounds(10, gamma=1.0, delta=1e-9)
     expected = 10 ** (-2.0) / math.sqrt(math.log(10))
-    assert rows[0].bound_improved == pytest.approx(expected, rel=1e-6)
+    assert improved == pytest.approx(expected, rel=1e-6)
 
 
 def test_bound_curves_values():
-    rows = bound_curves([10], gamma=1.0, delta=1.0)
-    assert rows[0].bound45 == pytest.approx(10 ** (-4.5) / math.sqrt(math.log(10)))
-    assert rows[0].bound_improved == pytest.approx(10 ** (-3.5) / math.sqrt(math.log(10)))
-    with pytest.raises(ValueError):
-        bound_curves([1], gamma=1.0, delta=1.0)
+    bound45, improved = probe_bounds(10, gamma=1.0, delta=1.0)
+    assert bound45 == pytest.approx(10 ** (-4.5) / math.sqrt(math.log(10)))
+    assert improved == pytest.approx(10 ** (-3.5) / math.sqrt(math.log(10)))
 
 
 class _FirstBatch(Exception):
@@ -157,11 +158,9 @@ def test_tail_parameters_are_checked_before_sampling(monkeypatch):
 
 def test_non_finite_parameters_rejected():
     with pytest.raises(ValueError):
-        check_chi_square_tail(math.nan, [1.0], samples=100, seed=0)
+        probe_bounds(3, gamma=math.nan, delta=1.0)
     with pytest.raises(ValueError):
-        bound_curves([3], gamma=math.nan, delta=1.0)
-    with pytest.raises(ValueError):
-        bound_curves([3], gamma=1.0, delta=math.inf)
+        probe_bounds(3, gamma=1.0, delta=math.inf)
 
 
 def test_delta_too_large_to_square_is_named_before_sampling(monkeypatch):
@@ -169,13 +168,9 @@ def test_delta_too_large_to_square_is_named_before_sampling(monkeypatch):
         raise _FirstBatch
 
     monkeypatch.setattr(RandomSource, "normals", no_draws)
-    with pytest.raises(ValueError, match="delta"):
-        bound_curves([3], gamma=0.5, delta=1e200)
     with pytest.raises(ValueError, match="delta = 1e[+]200 is too large"):
         estimate_tail_prob(3, 0.5, samples=1000, seed=0, delta=1e200)
 
 
 def test_large_delta_that_squares_underflows_the_bound_to_zero():
-    assert bound_curves([3], gamma=0.5, delta=1e150)[0].bound_improved == 0.0
-    # the exponent itself overflows to inf here, which is still a zero bound
-    assert bound_curves([3], gamma=1e10, delta=1e154)[0].bound_improved == 0.0
+    assert probe_bounds(3, gamma=0.5, delta=1e150)[1] == 0.0

@@ -26,14 +26,13 @@ from cqpoly import (
     maximize_poly,
     outer_product,
     poly_ratio_bound,
-    re_bilinear,
-    real_block,
     solve_bilinear,
     symmetrize,
 )
 from cqpoly import solvers
 from cqpoly.experiment import ExperimentConfig, run_experiment, run_seed_for
 from cqpoly.sampling import RandomSource
+from .oracles import real_block
 
 
 @pytest.fixture
@@ -43,6 +42,11 @@ def rng():
 
 def rand_matrix(rng, m, n):
     return CQMatrix(rng.uniform(-1, 1, size=(m, n, 4)))
+
+
+def re_bilinear(x, A, y):
+    """Re(x^T A y), by the package's order-2 form evaluator, not by solve_bilinear's C+C SVD."""
+    return MultilinearForm(CQTensor(A.data))(x, y).re
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 4)])
@@ -60,14 +64,35 @@ def test_bilinear_scalar_units():
     assert solve_bilinear(CQMatrix.from_quats([[CQuat(0, 1)]])).value == pytest.approx(1.0, abs=1e-10)
 
 
-def test_bilinear_matches_svd_oracle(rng):
-    for _ in range(30):
-        m, n = (int(v) for v in rng.integers(1, 5, size=2))
-        A = rand_matrix(rng, m, n)
-        sol = solve_bilinear(A)
-        oracle = np.linalg.svd(real_block(A), compute_uv=False)[0]
-        assert sol.value == pytest.approx(oracle, abs=1e-8)
-        assert re_bilinear(sol.x, A, sol.y) == pytest.approx(sol.value, abs=1e-8)
+def oracle_test_matrix(kind, m, n, data_seed):
+    g = np.random.default_rng(data_seed)
+    if kind == "real":
+        return CQMatrix.from_real(g.uniform(-1, 1, size=(m, n))).data
+    if kind == "symmetric":
+        data = g.uniform(-1, 1, size=(m, m, 4))
+        return data + data.transpose(1, 0, 2)
+    data = g.uniform(-1, 1, size=(m, n, 4))
+    if kind == "zero-component":
+        return cc_join(cc_split(data)[0], np.zeros((m, n)))
+    return data
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "real", "symmetric", "zero-component"]),
+    m=st.integers(1, 5),
+    n=st.integers(1, 5),
+    data_seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 1e-100, 1e100]),
+)
+def test_bilinear_matches_svd_oracle(kind, m, n, data_seed, scale):
+    A = CQMatrix(scale * oracle_test_matrix(kind, m, n, data_seed))
+    sol = solve_bilinear(A)
+    oracle = np.linalg.svd(real_block(A), compute_uv=False)[0]
+    assert sol.value == pytest.approx(oracle, rel=1e-10, abs=1e-300)
+    assert re_bilinear(sol.x, A, sol.y) == pytest.approx(sol.value, rel=1e-10, abs=1e-300)
+    assert sol.x.norm() == pytest.approx(1.0, abs=1e-12)
+    assert sol.y.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bilinear_dominates_random_feasible_pairs(rng):
