@@ -69,16 +69,37 @@ def assert_close(a, b, tol):
     assert max(abs(x - y) for x, y in zip(np.ravel(a), np.ravel(b))) <= tol
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+ring_law = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+def arrays(*qs):
+    return (np.array(x.components()) for x in qs)
+
+
+@ring_law
+@given(p=quats, q=quats)
+@example(p=ONE + J, q=ONE - J)
+def test_commutativity(p, q):
+    assert_close((p * q).components(), (q * p).components(), 1e-12)
+    a, b = arrays(p, q)
+    assert_close(qprod(a, b), qprod(b, a), 1e-12)
+
+
+@ring_law
 @given(p=quats, q=quats, r=quats)
 @example(p=ONE + J, q=ONE - J, r=I - K)
-def test_ring_laws(p, q, r):
-    assert_close((p * q).components(), (q * p).components(), 1e-12)
+def test_associativity(p, q, r):
     assert_close(((p * q) * r).components(), (p * (q * r)).components(), 1e-10)
-    assert_close((p * (q + r)).components(), (p * q + p * r).components(), 1e-12)
-    a, b, c = (np.array(x.components()) for x in (p, q, r))
-    assert_close(qprod(a, b), qprod(b, a), 1e-12)
+    a, b, c = arrays(p, q, r)
     assert_close(qprod(qprod(a, b), c), qprod(a, qprod(b, c)), 1e-10)
+
+
+@ring_law
+@given(p=quats, q=quats, r=quats)
+@example(p=ONE + J, q=ONE - J, r=I - K)
+def test_distributivity(p, q, r):
+    assert_close((p * (q + r)).components(), (p * q + p * r).components(), 1e-12)
+    a, b, c = arrays(p, q, r)
     assert_close(qprod(a, b + c), qprod(a, b) + qprod(a, c), 1e-12)
 
 
