@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import CQuat
 
-# norm() and best_rank_one scale an array whose largest entry lies outside
+# norm(), unit() and best_rank_one scale an array whose largest entry lies outside
 # 2^(+-SAFE_EXPONENT) by an exact power of two, so that no square overflows or underflows.
 SAFE_EXPONENT = 400
 
@@ -130,10 +130,11 @@ class CQVector(_Container):
         return [CQuat(*row) for row in self.data]
 
     def unit(self) -> "CQVector":
-        nrm = self.norm()
-        if nrm < 1e-300:
+        """This vector over its norm, both taken of data / 2^e for e = scale_exponent(data)."""
+        if not self.data.any():
             raise ValueError("cannot normalize a zero vector")
-        return CQVector(self.data / nrm)
+        data = np.ldexp(self.data, -scale_exponent(self.data))
+        return CQVector(data / np.sqrt((data**2).sum()))
 
     def __add__(self, other):
         if isinstance(other, CQVector):

@@ -23,9 +23,10 @@ exactly what RandomSource would. The states mirror numpy bit for bit:
   Space-Efficient Statistically Good Algorithms for Random Number
   Generation", HMC-CS-2014-0905).
 
-The first call compares the computed state of one probe stream with
-numpy's own seeding. Should numpy's seeding ever differ, the states come
-from numpy's constructors instead: slower, but the draws stay identical.
+The formula covers streams t < 2^32, whose spawn key is one uint32 word,
+and its first call is checked against numpy's seeding on a probe stream.
+Streams past that, every stream if the probe fails, and any trial with a
+null draw are drawn by RandomSource itself: slower, but identical.
 """
 
 from __future__ import annotations
@@ -106,9 +107,8 @@ _OUT_BEFORE, _OUT_AFTER = (h.reshape(2, _POOL_SIZE) for h in _hashes(_INIT_B, _M
 def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
     """(state, inc) of PCG64(SeedSequence(entropy=seed, spawn_key=(t,))) for t in start..stop-1.
 
-    The streams are taken in pieces that share t >> 32. Within a piece the
-    spawn key has the same number of uint32 words for every t and only its
-    lowest word varies, so each hash step runs once over the whole piece.
+    Every t must be below 2^32: the spawn key is then the one uint32 word t,
+    so each hash step runs once over the whole range.
     """
     pool = np.random.SeedSequence(seed).pool
     seed_words = max(1, -(-seed.bit_length() // 32))
@@ -116,50 +116,29 @@ def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
     # the pool with 12 more hashes, and then spends one hash per pool word on
     # each further word: the rest of the seed, then the spawn key.
     skip = 4 * _POOL_SIZE + _POOL_SIZE * max(0, seed_words - _POOL_SIZE)
+    before, after = _hashes(_INIT_A, _MULT_A, skip, _POOL_SIZE)
+    hashed = (np.arange(start, stop, dtype=np.uint32).reshape(-1, 1, 1) ^ before) * after
+    hashed ^= hashed >> _XSHIFT
+    mixer = _MIX_MULT_L * pool - _MIX_MULT_R * hashed
+    mixer ^= mixer >> _XSHIFT
+    # generate_state(4, uint64): eight hashes cycling over the pool, read
+    # as four little-endian uint64 (state high, state low, seq high, seq low).
+    out = (mixer ^ _OUT_BEFORE) * _OUT_AFTER
+    out ^= out >> _XSHIFT
     states = []
-    first = start
-    while first < stop:
-        count = min(stop, (first | _MASK32) + 1) - first
-        low = first & _MASK32
-        words = [np.arange(low, low + count, dtype=np.uint32).reshape(count, 1, 1)]
-        high = first >> 32
-        while high:
-            words.append(np.uint32(high & _MASK32))
-            high >>= 32
-        mixer = pool
-        for k, word in enumerate(words):
-            before, after = _hashes(_INIT_A, _MULT_A, skip + _POOL_SIZE * k, _POOL_SIZE)
-            hashed = (word ^ before) * after
-            hashed ^= hashed >> _XSHIFT
-            mixer = _MIX_MULT_L * mixer - _MIX_MULT_R * hashed
-            mixer ^= mixer >> _XSHIFT
-        # generate_state(4, uint64): eight hashes cycling over the pool, read
-        # as four little-endian uint64 (state high, state low, seq high, seq low).
-        out = (mixer ^ _OUT_BEFORE) * _OUT_AFTER
-        out ^= out >> _XSHIFT
-        for a, b, c, d in out.reshape(count, 8).astype("<u4", copy=False).view("<u8").tolist():
-            # pcg_setseq_128_srandom_r: inc = 2 seq + 1, two LCG steps from state 0.
-            inc = ((c << 64 | d) << 1 | 1) & _MASK128
-            states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128, inc))
-        first += count
-    return states
-
-
-def _numpy_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
-    """The same (state, inc) pairs from numpy's own SeedSequence and PCG64."""
-    states = []
-    for t in range(start, stop):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(t,))
-        state = np.random.PCG64(ss).state["state"]
-        states.append((state["state"], state["inc"]))
+    for a, b, c, d in out.reshape(-1, 8).astype("<u4", copy=False).view("<u8").tolist():
+        # pcg_setseq_128_srandom_r: inc = 2 seq + 1, two LCG steps from state 0.
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128, inc))
     return states
 
 
 @functools.cache
 def _formula_matches_numpy() -> bool:
-    """Whether _pcg64_states reproduces numpy's seeding on a multi-word probe stream."""
-    seed, t = 2**160 + 7, 2**32 + 5
-    return _pcg64_states(seed, t, t + 1) == _numpy_states(seed, t, t + 1)
+    """Whether _pcg64_states reproduces numpy's seeding on a probe stream with a multi-word seed."""
+    seed, t = 2**160 + 7, _MASK32
+    state = RandomSource(seed, stream=t)._gen.bit_generator.state["state"]
+    return _pcg64_states(seed, t, t + 1) == [(state["state"], state["inc"])]
 
 
 _local = threading.local()
@@ -180,8 +159,10 @@ def sphere_draws(seed: int, start: int, stop: int, dims: Sequence[int]) -> list[
 
     Row r of array k is bit for bit the k-th of the draws
     RandomSource(seed, stream=start + r).sphere_array(n) for n in dims,
-    taken in order. A trial with a draw of norm below 1e-300 is redrawn
-    through RandomSource, whose rejection loop then decides it.
+    taken in order. Rows of streams below 2^32 are drawn from states set
+    by _pcg64_states while the probe passes. The other rows, and every
+    trial with a draw of norm below 1e-300, are drawn through RandomSource,
+    whose rejection loop then decides a null draw.
     """
     seed, start, stop = int(seed), int(start), int(stop)
     if seed < 0 or start < 0:
@@ -192,25 +173,27 @@ def sphere_draws(seed: int, start: int, stop: int, dims: Sequence[int]) -> list[
         raise ValueError("dimension must be at least 1")
     count = stop - start
     raw = [np.empty((count, n, 4)) for n in dims]
-    bitgen, gen = _thread_generator()
-    seeding = _pcg64_states if _formula_matches_numpy() else _numpy_states
-    for row, (state, inc) in enumerate(seeding(seed, start, stop)):
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        for out in raw:
-            gen.standard_normal(out=out[row])
-    redo = set()
-    for r, n in zip(raw, dims):
-        nrm = np.sqrt(np.add.reduce(np.square(r).reshape(count, 4 * n), axis=1))
-        if count and nrm.min() < 1e-300:
-            small = nrm < 1e-300
-            nrm[small] = 1.0
-            redo.update(np.flatnonzero(small).tolist())
-        r /= nrm[:, None, None]
+    fast = max(0, min(stop, 1 << 32) - start) if _formula_matches_numpy() else 0
+    redo = set(range(fast, count))
+    if fast:
+        bitgen, gen = _thread_generator()
+        for row, (state, inc) in enumerate(_pcg64_states(seed, start, start + fast)):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            for out in raw:
+                gen.standard_normal(out=out[row])
+        for r, n in zip(raw, dims):
+            r = r[:fast]
+            nrm = np.sqrt(np.add.reduce(np.square(r).reshape(fast, 4 * n), axis=1))
+            if nrm.min() < 1e-300:
+                small = nrm < 1e-300
+                nrm[small] = 1.0
+                redo.update(np.flatnonzero(small).tolist())
+            r /= nrm[:, None, None]
     for row in sorted(redo):
         src = RandomSource(seed, stream=start + row)
         for out, n in zip(raw, dims):

@@ -218,7 +218,14 @@ def _trial_sigmas(
     lower bound is below it. It depends only on the trials before t, so
     the skipped blocks do not depend on the trial count or the chunking
     either. A one-trial run computes no bounds.
+
+    Bounds are compared only with each other, so they may be taken of all
+    blocks times one power of two: 2^-e when the largest |entry| of comps
+    is m 2^e with |e| > 64 (2^1023 at most, to stay finite), which brings
+    the Gram norms of a tensor far from 1 inside the range of _sigma_bounds.
     """
+    e = math.frexp(float(np.abs(comps).max(initial=0.0)))[1]
+    scale = 2.0 ** -max(e, -1023) if abs(e) > 64 else 1.0
     sampled = comps.shape[1:-2]
     chunk = max(1, TRIAL_CHUNK_BYTES // (32 * math.prod(comps.shape[2:])))
     sigmas = np.full((trials, 2), -np.inf)
@@ -229,7 +236,7 @@ def _trial_sigmas(
         if records is None or trials == 1:
             sigmas[start:stop] = np.linalg.svd(blocks, compute_uv=False)[..., 0]
             continue
-        lower, upper = _sigma_bounds(blocks)
+        lower, upper = _sigma_bounds(blocks * scale if scale != 1.0 else blocks)
         if records == "trial":
             lower = lower.max(axis=1, keepdims=True)
         floors = np.maximum.accumulate(np.concatenate([floor, lower]), axis=0)

@@ -273,6 +273,41 @@ def test_poly_validation():
         poly(rand_vector(3))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda f, x, y: f(x, y), "expected 3 vectors, got 2", id="count"),
+        pytest.param(lambda f, x, y: f(x, y, y), "slot 2 expects length 4, got 3", id="length"),
+        pytest.param(
+            lambda f, x, y: f.contract_pair([x], (1, 1)),
+            "free slots must satisfy",
+            id="same-slot",
+        ),
+        pytest.param(
+            lambda f, x, y: f.contract_pair([x], (1, 3)),
+            "free slots must satisfy",
+            id="past-order",
+        ),
+        pytest.param(
+            lambda f, x, y: f.contract_pair([x, y], (1, 2)),
+            "expected 1 fixed vectors, got 2",
+            id="fixed",
+        ),
+        pytest.param(lambda f, x, y: PolyProblem(2, 0), "dim must be at least 1", id="dim"),
+    ],
+)
+def test_form_input_checks(call, message):
+    form = rand_form((2, 3, 4))
+    with pytest.raises(ValueError, match=message):
+        call(form, rand_vector(2), rand_vector(3))
+
+
+def test_add_term_takes_a_plain_number_as_a_real_coefficient():
+    poly = PolyProblem(2, 2)
+    poly.add_term((2, 1), 2.5)
+    assert poly.coeffs == {(1, 2): CQuat(2.5)}
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_add_term_rejects_non_finite_coefficients(bad):
     poly = PolyProblem(2, 2)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,51 @@ def test_tensor_norm_equals_component_sum_of_squares():
         data = rng.normal(size=dims + (4,))
         t = CQTensor(data)
         assert t.norm() ** 2 == pytest.approx((data**2).sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: CQVector(np.ones((3, 3))),
+            r"CQVector expects shape \*x4, got \(3, 3\)",
+            id="shape",
+        ),
+        pytest.param(
+            lambda: CQTensor([[0.0, 1.0, math.nan, 0.0]]),
+            "CQTensor entries must be finite",
+            id="nan",
+        ),
+        pytest.param(
+            lambda: CQVector(np.ones((0, 4))),
+            "CQVector needs at least one entry",
+            id="empty",
+        ),
+        pytest.param(
+            lambda: outer_product([]),
+            "outer_product needs at least one vector",
+            id="no-factor",
+        ),
+    ],
+)
+def test_container_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_unit_normalizes_nonzero_vectors_at_any_scale():
+    v = CQVector.from_real([0.3, -0.8, 0.5])
+    for scale in (2.0**-1000, 2.0**-1070, 2.0**600, 2.0**-600):
+        assert (scale * v).unit().norm() == pytest.approx(1.0, abs=1e-15)
+    # 2^-1000 keeps every bit, while 2^-1070 rounds the entries to subnormals
+    assert np.allclose((2.0**-1000 * v).unit().data, v.unit().data, rtol=0.0, atol=1e-15)
+    # inside linalg.SAFE_EXPONENT's window unit() divides by norm() itself
+    x = rand_vector(5)
+    for scale in (1.0, 1e-100, 1e100):
+        y = scale * x
+        assert y.unit().data.tobytes() == (y.data / y.norm()).tobytes()
+    with pytest.raises(ValueError, match="cannot normalize a zero vector"):
+        CQVector(np.zeros((3, 4))).unit()
 
 
 def test_vectors_are_read_only():

@@ -50,6 +50,28 @@ def test_tail_probability_scale_invariance_in_a():
         assert (scale * a).unit().norm() == pytest.approx(1.0, abs=1e-15)
 
 
+def test_tail_probe_redraws_a_null_sample(monkeypatch):
+    normals = RandomSource.normals
+    shapes = []
+
+    def first_sample_null(self, shape):
+        draws = normals(self, shape)
+        if not shapes:
+            draws[0] = 0.0
+        shapes.append(shape)
+        return draws
+
+    monkeypatch.setattr(RandomSource, "normals", first_sample_null)
+    probe = estimate_tail_prob(3, 0.4, samples=1000, seed=6)
+    assert shapes == [(1000, 3, 4), (1, 3, 4)]
+    # the null sample is replaced by the stream's next draw, and a = e_1 reads coordinate (0, 0)
+    src = RandomSource(6, stream=0)
+    draws = normals(src, (1000, 3, 4))
+    draws[0] = normals(src, (1, 3, 4))[0]
+    re_vals = draws[:, 0, 0] / np.sqrt((draws**2).sum(axis=(1, 2)))
+    assert probe.empirical_prob == (re_vals >= probe.threshold).sum() / 1000
+
+
 def test_tail_probability_monotone_in_gamma():
     samples = 50_000
     probs = [

@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqpoly import CQTensor, CQVector, MultilinearForm, RandomSource, form_trial_values
@@ -106,8 +106,9 @@ def test_sphere_vector_wraps_sphere_array():
 GUARD_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128, 2**160 + 7]
 # 33 * 4 = 132 entries exceed numpy's 128-entry pairwise-summation block
 GUARD_DIMS = [1, 2, 7, 33]
-# trials 0-49, trial 10**6, and the trials around 2**32, where the stream takes a second word
-GUARD_WINDOWS = [(0, 50), (10**6, 10**6 + 1), (2**32 - 2, 2**32 + 3)]
+# trials 0-49, trial 10**6, the trials around 2**32, where streams leave the state
+# formula for RandomSource, and two trials past it
+GUARD_WINDOWS = [(0, 50), (10**6, 10**6 + 1), (2**32 - 2, 2**32 + 3), (2**32, 2**32 + 2)]
 
 
 def reference_draws(seed, start, stop, dims):
@@ -144,8 +145,23 @@ def test_sphere_draws_fallback_seeding_is_identical(monkeypatch):
 
     monkeypatch.setattr(sampling, "_formula_matches_numpy", lambda: False)
     monkeypatch.setattr(sampling, "_pcg64_states", unused)
-    for seed in (3, 2**64 + 3):
-        assert_draws_match_reference(seed, 2**32 - 2, 2**32 + 3, GUARD_DIMS)
+    for seed in GUARD_SEEDS:
+        for start, stop in GUARD_WINDOWS:
+            assert_draws_match_reference(seed, start, stop, GUARD_DIMS)
+
+
+def test_state_formula_sees_only_one_word_streams(monkeypatch):
+    ranges = []
+    states = sampling._pcg64_states
+
+    def recording(seed, start, stop):
+        ranges.append((start, stop))
+        return states(seed, start, stop)
+
+    monkeypatch.setattr(sampling, "_pcg64_states", recording)
+    for start, stop in GUARD_WINDOWS:
+        sphere_draws(5, start, stop, [2])
+    assert ranges == [(0, 50), (10**6, 10**6 + 1), (2**32 - 2, 2**32)]
 
 
 class _ZeroGenerator:
@@ -174,11 +190,23 @@ def test_sphere_draws_validation():
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**130), t=st.integers(0, 2**34))
+@given(seed=st.integers(0, 2**130), t=st.integers(0, 2**32 - 1))
 def test_pcg64_state_formula_matches_numpy(seed, t):
     state = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(t,))).state
     expected = state["state"]
     assert sampling._pcg64_states(seed, t, t + 1) == [(expected["state"], expected["inc"])]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**130),
+    t=st.integers(0, 2**34),
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+)
+@example(seed=2**130, t=2**32 - 1, dims=[2])
+@example(seed=2**130, t=2**32, dims=[2])
+def test_sphere_draws_match_random_source_on_any_stream(seed, t, dims):
+    assert_draws_match_reference(seed, t, t + 1, dims)
 
 
 def test_concurrent_trial_values_match_sequential():

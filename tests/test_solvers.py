@@ -275,8 +275,9 @@ def record_test_tensor(kind, dims, data_seed):
     data_seed=st.integers(0, 2**32 - 1),
     trials=st.integers(1, 60),
     chunk=st.sampled_from([None, 1, 3]),
-    # bounds are computed only for Gram norms in [1e-60, 1e60]; these scales fall on both sides
-    scale=st.sampled_from([1.0, 1e-28, 1e28, 1e-200, 1e150]),
+    # bounds are computed only for Gram norms in [1e-60, 1e60], and of blocks rescaled by
+    # 2^-e for a tensor's largest entry m 2^e with |e| > 64; these scales take every branch
+    scale=st.sampled_from([1.0, 1e-28, 1e28, 1e-40, 1e-200, 1e150, 2.0**-700, 2.0**700]),
 )
 def test_running_best_is_bit_equal_to_the_exact_values(kind, dims, data_seed, trials, chunk, scale):
     form = MultilinearForm(CQTensor(scale * record_test_tensor(kind, dims, data_seed).data))
@@ -292,15 +293,21 @@ def test_running_best_is_bit_equal_to_the_exact_values(kind, dims, data_seed, tr
     assert report.objective == exact.max()
 
 
-def test_few_blocks_reach_the_svd_and_one_trial_computes_no_bounds(monkeypatch):
-    blocks_per_call = []
+@pytest.fixture
+def blocks_per_call(monkeypatch):
+    """The number of blocks each np.linalg.svd call of the test gets."""
+    counts = []
     svd = np.linalg.svd
 
     def counting_svd(a, *args, **kwargs):
-        blocks_per_call.append(math.prod(a.shape[:-2]))
+        counts.append(math.prod(a.shape[:-2]))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return counts
+
+
+def test_few_blocks_reach_the_svd_and_one_trial_computes_no_bounds(monkeypatch, blocks_per_call):
     run_experiment(ExperimentConfig(n_list=(7,), trial_schedule=(1000,), runs=1, seed=3))
     assert sum(blocks_per_call) <= 0.05 * 2 * 1000
 
@@ -311,6 +318,68 @@ def test_few_blocks_reach_the_svd_and_one_trial_computes_no_bounds(monkeypatch):
     blocks_per_call.clear()
     run_experiment(ExperimentConfig(n_list=(7,), trial_schedule=(1,), runs=1, seed=3))
     assert blocks_per_call == [2]
+
+
+def test_far_scaled_tensors_send_no_more_blocks_to_the_svd(blocks_per_call):
+    tensor = np.random.default_rng(3).normal(size=(4, 5, 6, 4))
+    counts = {}
+    for scale in (1.0, 1e-40, 2.0**-700, 1e200, 2.0**700):
+        blocks_per_call.clear()
+        maximize_form(MultilinearForm(CQTensor(scale * tensor)), 2000, seed=3)
+        form_blocks = sum(blocks_per_call)
+        blocks_per_call.clear()
+        best_rank_one(CQTensor(scale * tensor), 2000, seed=3)
+        counts[scale] = (form_blocks, sum(blocks_per_call))
+    form_at_one, rank_one_at_one = counts[1.0]
+    assert form_at_one <= 0.05 * 2 * 2000
+    for form_blocks, rank_one_blocks in counts.values():
+        assert form_blocks <= form_at_one and rank_one_blocks <= rank_one_at_one, counts
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: maximize_poly(PolyProblem(1, 2), 5, seed=1),
+            "degree must be at least 2",
+            id="degree",
+        ),
+        pytest.param(
+            lambda: best_rank_one(CQTensor(np.ones((3, 4))), 5, seed=1),
+            "order at least 2",
+            id="order",
+        ),
+        pytest.param(
+            lambda: best_rank_one(CQTensor(np.ones((2, 2, 4))), 0, seed=1),
+            "trials must be at least 1",
+            id="trials",
+        ),
+        pytest.param(
+            lambda: form_ratio_bound((5,), 1.0),
+            "ratio formula needs at least two slots",
+            id="slots",
+        ),
+        pytest.param(
+            lambda: all_ones_instance(0, 1, 1),
+            "dimensions must be positive",
+            id="all-ones",
+        ),
+        pytest.param(
+            lambda: ExperimentConfig(n_list=(1, 3)),
+            "n_list must contain dimensions >= 2",
+            id="n",
+        ),
+        pytest.param(
+            lambda: ExperimentConfig(trial_schedule=(0, 5)),
+            "must contain positive counts",
+            id="checkpoint",
+        ),
+        pytest.param(lambda: ExperimentConfig(runs=0), "runs must be at least 1", id="runs"),
+    ],
+)
+def test_solver_and_experiment_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_maximize_form_agrees_with_experiment_checkpoint():
