@@ -6,11 +6,20 @@ probe carry a unit constant: the true constants in the lower bounds are
 non-constructive, so the curves are for shape comparison only and are never
 asserted as ground-truth inequalities.
 
-Sampling is batched: a batch holds BATCH_SIZE samples, or fewer when their
-draws would take more than BATCH_BYTES, so the batch size depends only on
-the dimension. Batch b draws from RandomSource(seed, stream=b), and counts
-merge by addition, so results are independent of how batches are
-scheduled.
+Batches fix which stream each sample comes from: a batch holds BATCH_SIZE
+samples, or fewer when their draws would take more than BATCH_BYTES, so its
+size depends only on the dimension. Batch b draws from RandomSource(seed,
+stream=b) and counts merge by addition, so results do not depend on how
+batches are scheduled. Null samples (norm below 1e-300) are redrawn from
+the batch's stream after its last sample, in row order.
+
+Blocks bound memory: a batch is drawn, normalized and counted in blocks of
+about BLOCK_BYTES of draws, which continue the stream's one sequence. A
+block's row count is a multiple of 64 because OpenBLAS's dgemv takes rows
+in groups; single-threaded, every row then keeps the bits of a whole-batch
+product. With several BLAS threads a row's bits can depend on the thread
+count, whole-batch too, so outputs are bit-reproducible for a fixed thread
+count (hit counts agreed in every case tried).
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .sampling import RandomSource
 
 BATCH_SIZE = 1 << 16
 BATCH_BYTES = 1 << 26
+BLOCK_BYTES = 1 << 18
 
 # Re(p q) contracts components with these signs.
 _RE_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
@@ -68,6 +78,15 @@ def _batches(samples: int, sample_bytes: int):
         stream += 1
 
 
+def _block_hits(draws: np.ndarray, weights: np.ndarray, cutoff: float) -> tuple[int, int]:
+    """(hits, null rows) of one block of draws; a null row counts as no hit and is left to redraw."""
+    nrm = np.sqrt((draws**2).sum(axis=(1, 2)))
+    null = nrm < 1e-300
+    nrm[null] = np.nan
+    re_vals = draws.reshape(len(draws), -1) @ weights / nrm
+    return int((re_vals >= cutoff).sum()), int(null.sum())
+
+
 def estimate_tail_prob(
     n: int,
     gamma: float,
@@ -100,17 +119,18 @@ def estimate_tail_prob(
     cutoff = threshold * a.norm()
     # Re(a^T xi) = sum_i [a_i0 xi_i0 - a_i1 xi_i1 + a_i2 xi_i2 - a_i3 xi_i3]
     weights = (a.data * _RE_SIGNS).ravel()
+    block = max(64, BLOCK_BYTES // (32 * n) // 64 * 64)
     hits = 0
     for stream, size in _batches(samples, 32 * n):
         src = RandomSource(seed, stream=stream)
-        draws = src.normals((size, n, 4))
-        nrm = np.sqrt((draws**2).sum(axis=(1, 2)))
-        while np.any(nrm < 1e-300):
-            bad = nrm < 1e-300
-            draws[bad] = src.normals((int(bad.sum()), n, 4))
-            nrm = np.sqrt((draws**2).sum(axis=(1, 2)))
-        re_vals = draws.reshape(size, 4 * n) @ weights / nrm
-        hits += int((re_vals >= cutoff).sum())
+        nulls = 0
+        for start in range(0, size, block):
+            block_hits, block_nulls = _block_hits(src.normals((min(block, size - start), n, 4)), weights, cutoff)
+            hits += block_hits
+            nulls += block_nulls
+        while nulls:
+            redraw_hits, nulls = _block_hits(src.normals((nulls, n, 4)), weights, cutoff)
+            hits += redraw_hits
     bound45 = n ** (-4.5 * gamma) / math.sqrt(math.log(n))
     return ProbeResult(
         n=n,

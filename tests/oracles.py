@@ -13,6 +13,9 @@ computes by a second, plainer route:
   super-symmetric form.
 - ``check_chi_square_tail``: a Monte Carlo check of the weighted chi-square
   tail lemma behind the tail probe, drawn in the probe's batches.
+- ``whole_batch_tail_prob``: the tail probe drawn and counted one whole
+  batch at a time. Checks that ``estimate_tail_prob``'s blocks give the
+  same counts.
 
 The real embedding stacks the component vectors in the fixed order
 (x0; x1; x2; x3), and maps an m x n matrix A to the 4m x 4n real grid
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cqpoly import CQMatrix, CQuat, CQVector, MultilinearForm, PolyProblem
-from cqpoly.problab import _batches
+from cqpoly.problab import _RE_SIGNS, _batches
 from cqpoly.sampling import RandomSource
 
 
@@ -126,3 +129,25 @@ def check_chi_square_tail(t: float, b, samples: int, seed: int) -> ChiSquareTail
     bound = math.exp(-t)
     slack = 4 * math.sqrt(bound / samples)
     return ChiSquareTailCheck(empirical=hits / samples, bound=bound, slack=slack)
+
+
+def whole_batch_tail_prob(n: int, gamma: float, samples: int, seed: int, a: CQVector) -> float:
+    """The tail probe's empirical probability, each batch drawn and counted in one piece.
+
+    Null samples are redrawn in row order after the whole batch, until none
+    is left, and the redraws take their rows' places in the batch.
+    """
+    cutoff = math.sqrt(gamma * math.log(n) / n) * a.norm()
+    weights = (a.data * _RE_SIGNS).ravel()
+    hits = 0
+    for stream, size in _batches(samples, 32 * n):
+        src = RandomSource(seed, stream=stream)
+        draws = src.normals((size, n, 4))
+        nrm = np.sqrt((draws**2).sum(axis=(1, 2)))
+        while np.any(nrm < 1e-300):
+            bad = nrm < 1e-300
+            draws[bad] = src.normals((int(bad.sum()), n, 4))
+            nrm = np.sqrt((draws**2).sum(axis=(1, 2)))
+        re_vals = draws.reshape(size, 4 * n) @ weights / nrm
+        hits += int((re_vals >= cutoff).sum())
+    return hits / samples

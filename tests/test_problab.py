@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cqpoly import CQVector, estimate_tail_prob
 from cqpoly.sampling import RandomSource
-from .oracles import check_chi_square_tail
+from .oracles import check_chi_square_tail, whole_batch_tail_prob
 
 
 def test_tail_probability_is_positive():
@@ -70,6 +73,56 @@ def test_tail_probe_redraws_a_null_sample(monkeypatch):
     draws[0] = normals(src, (1, 3, 4))[0]
     re_vals = draws[:, 0, 0] / np.sqrt((draws**2).sum(axis=(1, 2)))
     assert probe.empirical_prob == (re_vals >= probe.threshold).sum() / 1000
+
+
+def test_tail_probe_redraws_a_null_row_of_a_later_block_until_it_is_not_null(monkeypatch):
+    normals = RandomSource.normals
+    shapes = []
+
+    def second_block_and_first_redraw_null(self, shape):
+        draws = normals(self, shape)
+        if len(shapes) in (1, 3):
+            draws[0] = 0.0
+        shapes.append(shape)
+        return draws
+
+    monkeypatch.setattr(RandomSource, "normals", second_block_and_first_redraw_null)
+    probe = estimate_tail_prob(3, 0.4, samples=6000, seed=6)
+    # n = 3 takes blocks of 2,688 rows; the null row 2,688 is redrawn after the batch, twice
+    assert shapes == [(2688, 3, 4), (2688, 3, 4), (624, 3, 4), (1, 3, 4), (1, 3, 4)]
+    src = RandomSource(6, stream=0)
+    draws = normals(src, (6000, 3, 4))
+    normals(src, (1, 3, 4))
+    draws[2688] = normals(src, (1, 3, 4))[0]
+    re_vals = draws[:, 0, 0] / np.sqrt((draws**2).sum(axis=(1, 2)))
+    assert probe.empirical_prob == (re_vals >= probe.threshold).sum() / 6000
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(
+    n=st.integers(2, 70),
+    samples=st.integers(1000, 150_000),
+    gamma=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**32),
+    a_seed=st.integers(0, 2**32),
+)
+@example(n=33, samples=140_000, gamma=0.5, seed=3, a_seed=1)
+@example(n=2000, samples=3000, gamma=0.5, seed=3, a_seed=1)
+def test_blocked_probe_counts_as_whole_batches(n, samples, gamma, seed, a_seed):
+    a = CQVector(np.random.default_rng(a_seed).standard_normal((n, 4)))
+    probe = estimate_tail_prob(n, gamma, samples, seed, a=a)
+    assert probe.empirical_prob == whole_batch_tail_prob(n, gamma, samples, seed, a)
+
+
+def test_tail_probe_memory_is_bounded_by_its_blocks():
+    tracemalloc.start()
+    try:
+        estimate_tail_prob(24, 0.5, 1 << 16, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one whole 65,536-sample batch of draws takes 50 MB
+    assert peak < 4_000_000
 
 
 def test_tail_probability_monotone_in_gamma():
@@ -153,19 +206,29 @@ class _FirstBatch(Exception):
     pass
 
 
+class _SecondStream(Exception):
+    pass
+
+
 def test_tail_batch_is_sized_by_bytes(monkeypatch):
-    # record the first batch the probe asks for and stop before drawing it
+    # record the draws the first stream serves, and stop when the second stream is asked for
     shapes = []
 
-    def first_batch(self, shape):
+    def first_stream(self, shape):
+        if self.stream > 0:
+            raise _SecondStream
         shapes.append(shape)
-        raise _FirstBatch
+        return np.ones(shape)
 
-    monkeypatch.setattr(RandomSource, "normals", first_batch)
-    for n in (32, 2000):
-        with pytest.raises(_FirstBatch):
+    monkeypatch.setattr(RandomSource, "normals", first_stream)
+    for n, batch in ((32, 1 << 16), (2000, 1048)):
+        shapes.clear()
+        with pytest.raises(_SecondStream):
             estimate_tail_prob(n, 0.5, samples=1 << 20, seed=0)
-    assert shapes == [(1 << 16, 32, 4), (1048, 2000, 4)]
+        assert sum(rows for rows, _, _ in shapes) == batch
+        assert all(shape[1:] == (n, 4) for shape in shapes)
+        # blocks keep every row's dgemv arithmetic; only the batch's last one may be short
+        assert all(rows % 64 == 0 for rows, _, _ in shapes[:-1])
 
 
 def test_tail_parameters_are_checked_before_sampling(monkeypatch):
