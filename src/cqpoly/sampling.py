@@ -9,8 +9,9 @@ it serves the tail probe and is the reference for every other draw.
 Randomized trials draw from one stream each, and building a SeedSequence, a
 PCG64 and a Generator per trial costs several times the draw itself.
 sphere_draws therefore computes the PCG64 states of a whole range of streams
-at once and sets them in turn on one generator per thread, which draws
-exactly what RandomSource would. The states mirror numpy bit for bit:
+at once and switches one generator per thread to each in turn; numpy still
+draws every normal, so the rows are exactly what RandomSource would draw.
+The states mirror numpy bit for bit:
 
 - SeedSequence(seed).pool is numpy's entropy pool after the words of the
   seed; the words of t are mixed into it by the hashmix and mix steps of
@@ -23,14 +24,27 @@ exactly what RandomSource would. The states mirror numpy bit for bit:
   Space-Efficient Statistically Good Algorithms for Random Number
   Generation", HMC-CS-2014-0905).
 
-The formula covers streams t < 2^32, whose spawn key is one uint32 word,
-and its first call is checked against numpy's seeding on a probe stream.
-Streams past that, every stream if the probe fails, and any trial with a
-null draw are drawn by RandomSource itself: slower, but identical.
+A state is kept as its 32-byte image: state and inc as little-endian
+128-bit words, which is how numpy's pcg64_random_t holds them where the C
+compiler has a native 128-bit integer. A trial's stream is switched by
+copying its image into that struct, found through the public
+PCG64.ctypes.state_address, at a fraction of the cost of the bit_generator
+state setter. The copy leaves has_uint32 alone, which is harmless because
+only standard_normal, which never reads it, runs on the thread generators.
+
+Two probes, each run once, guard this. The formula's first call is checked
+against numpy's seeding on a probe stream; streams t >= 2^32, whose spawn
+key is more than one uint32 word, every stream if that probe fails, and any
+trial with a null draw are drawn by RandomSource itself: slower, but
+identical. Before any image is written, the struct of a fresh PCG64 is read
+and compared with the image of its state; on a mismatch (another layout,
+such as a {high, low} pcg128_t) the states are set through the state setter
+instead.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import threading
 from typing import Sequence
@@ -104,8 +118,13 @@ def _hashes(init: int, mult: int, skip: int, count: int) -> tuple[np.ndarray, np
 _OUT_BEFORE, _OUT_AFTER = (h.reshape(2, _POOL_SIZE) for h in _hashes(_INIT_B, _MULT_B, 0, 8))
 
 
-def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
-    """(state, inc) of PCG64(SeedSequence(entropy=seed, spawn_key=(t,))) for t in start..stop-1.
+def _state_image(state: int, inc: int) -> bytes:
+    """32-byte image of a PCG64 (state, inc): two little-endian 128-bit words."""
+    return (state | inc << 128).to_bytes(32, "little")
+
+
+def _pcg64_states(seed: int, start: int, stop: int) -> list[bytes]:
+    """State images of PCG64(SeedSequence(entropy=seed, spawn_key=(t,))) for t in start..stop-1.
 
     Every t must be below 2^32: the spawn key is then the one uint32 word t,
     so each hash step runs once over the whole range.
@@ -127,9 +146,11 @@ def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
     out ^= out >> _XSHIFT
     states = []
     for a, b, c, d in out.reshape(-1, 8).astype("<u4", copy=False).view("<u8").tolist():
-        # pcg_setseq_128_srandom_r: inc = 2 seq + 1, two LCG steps from state 0.
+        # pcg_setseq_128_srandom_r: inc = 2 seq + 1, two LCG steps from state 0;
+        # then _state_image, inlined.
         inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128, inc))
+        state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128
+        states.append((state | inc << 128).to_bytes(32, "little"))
     return states
 
 
@@ -138,20 +159,38 @@ def _formula_matches_numpy() -> bool:
     """Whether _pcg64_states reproduces numpy's seeding on a probe stream with a multi-word seed."""
     seed, t = 2**160 + 7, _MASK32
     state = RandomSource(seed, stream=t)._gen.bit_generator.state["state"]
-    return _pcg64_states(seed, t, t + 1) == [(state["state"], state["inc"])]
+    return _pcg64_states(seed, t, t + 1) == [_state_image(state["state"], state["inc"])]
+
+
+def _state_pointer(bitgen: np.random.PCG64) -> int:
+    """Address of bitgen's pcg64_random_t, the first field of numpy's pcg64_state."""
+    return ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+
+
+@functools.cache
+def _layout_matches() -> bool:
+    """Whether a fresh PCG64's pcg64_random_t holds its state's image; only reads it."""
+    bitgen = np.random.PCG64(2**128 - 1)
+    state = bitgen.state["state"]
+    return ctypes.string_at(_state_pointer(bitgen), 32) == _state_image(state["state"], state["inc"])
 
 
 _local = threading.local()
 
 
-def _thread_generator() -> tuple[np.random.PCG64, np.random.Generator]:
-    """This thread's PCG64 and Generator, whose state sphere_draws sets per trial."""
+def _thread_generator() -> tuple[np.random.PCG64, np.random.Generator, int]:
+    """This thread's PCG64, its Generator and the address of its pcg64_random_t.
+
+    sphere_draws switches the PCG64 to each trial's stream, by copying the
+    state image to that address while _layout_matches, else by setting
+    its state. The tuple keeps the PCG64, and so the address, alive.
+    """
     try:
-        return _local.pair
+        return _local.generator
     except AttributeError:
         bitgen = np.random.PCG64(0)
-        _local.pair = (bitgen, np.random.Generator(bitgen))
-        return _local.pair
+        _local.generator = (bitgen, np.random.Generator(bitgen), _state_pointer(bitgen))
+        return _local.generator
 
 
 def sphere_draws(seed: int, start: int, stop: int, dims: Sequence[int]) -> list[np.ndarray]:
@@ -159,8 +198,9 @@ def sphere_draws(seed: int, start: int, stop: int, dims: Sequence[int]) -> list[
 
     Row r of array k is bit for bit the k-th of the draws
     RandomSource(seed, stream=start + r).sphere_array(n) for n in dims,
-    taken in order. Rows of streams below 2^32 are drawn from states set
-    by _pcg64_states while the probe passes. The other rows, and every
+    taken in order. Rows of streams below 2^32 are drawn from states
+    computed by _pcg64_states while _formula_matches_numpy, and written in
+    place while _layout_matches. The other rows, and every
     trial with a draw of norm below 1e-300, are drawn through RandomSource,
     whose rejection loop then decides a null draw.
     """
@@ -176,14 +216,19 @@ def sphere_draws(seed: int, start: int, stop: int, dims: Sequence[int]) -> list[
     fast = max(0, min(stop, 1 << 32) - start) if _formula_matches_numpy() else 0
     redo = set(range(fast, count))
     if fast:
-        bitgen, gen = _thread_generator()
-        for row, (state, inc) in enumerate(_pcg64_states(seed, start, start + fast)):
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+        bitgen, gen, pointer = _thread_generator()
+        in_place = _layout_matches()
+        for row, image in enumerate(_pcg64_states(seed, start, start + fast)):
+            if in_place:
+                ctypes.memmove(pointer, image, 32)
+            else:
+                value = int.from_bytes(image, "little")
+                bitgen.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": value & _MASK128, "inc": value >> 128},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
             for out in raw:
                 gen.standard_normal(out=out[row])
         for r, n in zip(raw, dims):

@@ -150,6 +150,28 @@ def test_sphere_draws_fallback_seeding_is_identical(monkeypatch):
             assert_draws_match_reference(seed, start, stop, GUARD_DIMS)
 
 
+def test_state_layout_is_active():
+    assert sampling._layout_matches()
+
+
+def test_sphere_draws_fallback_state_setter_is_identical(monkeypatch):
+    def unused(*args):
+        raise AssertionError("no state image may be written after a layout mismatch")
+
+    monkeypatch.setattr(sampling, "_layout_matches", lambda: False)
+    monkeypatch.setattr(sampling.ctypes, "memmove", unused)
+    for seed in GUARD_SEEDS:
+        for start, stop in GUARD_WINDOWS:
+            assert_draws_match_reference(seed, start, stop, GUARD_DIMS)
+
+
+def test_in_place_switch_leaves_has_uint32_clear():
+    # the copy does not reset has_uint32, so no draw on the thread generator may set it
+    sphere_draws(6, 0, 20, [2, 3])
+    bitgen = sampling._thread_generator()[0]
+    assert bitgen.state["has_uint32"] == 0
+
+
 def test_state_formula_sees_only_one_word_streams(monkeypatch):
     ranges = []
     states = sampling._pcg64_states
@@ -171,7 +193,8 @@ class _ZeroGenerator:
 
 def test_sphere_draws_redo_null_draws_through_random_source(monkeypatch):
     # every batched draw is zero, so every trial goes through RandomSource's rejection loop
-    zeros = (np.random.PCG64(0), _ZeroGenerator())
+    bitgen = np.random.PCG64(0)
+    zeros = (bitgen, _ZeroGenerator(), sampling._state_pointer(bitgen))
     monkeypatch.setattr(sampling, "_thread_generator", lambda: zeros)
     assert_draws_match_reference(8, 5, 9, [3, 1])
 
@@ -194,7 +217,8 @@ def test_sphere_draws_validation():
 def test_pcg64_state_formula_matches_numpy(seed, t):
     state = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(t,))).state
     expected = state["state"]
-    assert sampling._pcg64_states(seed, t, t + 1) == [(expected["state"], expected["inc"])]
+    image = (expected["state"] | expected["inc"] << 128).to_bytes(32, "little")
+    assert sampling._pcg64_states(seed, t, t + 1) == [image]
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
