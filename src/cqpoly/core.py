@@ -45,14 +45,6 @@ class CQuat:
 
     __abs__ = magnitude
 
-    def isclose(self, other: "CQuat", tol: float = 1e-12) -> bool:
-        return (
-            abs(self.w - other.w) <= tol
-            and abs(self.x - other.x) <= tol
-            and abs(self.y - other.y) <= tol
-            and abs(self.z - other.z) <= tol
-        )
-
     def __add__(self, other):
         if isinstance(other, CQuat):
             return CQuat(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)

@@ -19,7 +19,7 @@ Tosun, AACA 2014). See :func:`cc_split` and :func:`cc_join`.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -111,10 +111,6 @@ class CQVector(_Container):
             raise ValueError("CQVector needs at least one entry")
 
     @classmethod
-    def from_quats(cls, quats: Iterable[CQuat]) -> "CQVector":
-        return cls([q.components() for q in quats])
-
-    @classmethod
     def basis(cls, n: int, index: int) -> "CQVector":
         data = np.zeros((n, 4))
         data[index, 0] = 1.0
@@ -167,10 +163,6 @@ class CQMatrix(_Container):
 
     def __init__(self, data):
         self.data = _freeze(data, 3, "CQMatrix")
-
-    @classmethod
-    def from_quats(cls, rows: Sequence[Sequence[CQuat]]) -> "CQMatrix":
-        return cls([[q.components() for q in row] for row in rows])
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -27,19 +27,21 @@ The states mirror numpy bit for bit:
 A state is kept as its 32-byte image: state and inc as little-endian
 128-bit words, which is how numpy's pcg64_random_t holds them where the C
 compiler has a native 128-bit integer. A trial's stream is switched by
-copying its image into that struct, found through the public
-PCG64.ctypes.state_address, at a fraction of the cost of the bit_generator
-state setter. The copy leaves has_uint32 alone, which is harmless because
-only standard_normal, which never reads it, runs on the thread generators.
+writing its image over that struct, found through the public
+PCG64.ctypes.state_address. The write leaves has_uint32 alone, which is
+harmless because only standard_normal, which never reads it, runs on the
+thread generators.
 
-Two probes, each run once, guard this. The formula's first call is checked
-against numpy's seeding on a probe stream; streams t >= 2^32, whose spawn
-key is more than one uint32 word, every stream if that probe fails, and any
-trial with a null draw are drawn by RandomSource itself: slower, but
-identical. Before any image is written, the struct of a fresh PCG64 is read
-and compared with the image of its state; on a mismatch (another layout,
-such as a {high, low} pcg128_t) the states are set through the state setter
-instead.
+One probe, run once, guards this. It only reads: the formula's image of a
+probe stream with a multi-word seed must equal the bytes of the live struct
+behind RandomSource for that stream, which checks the seeding and the
+layout at once. So there are two draw paths. While the probe passes, rows
+of streams below 2^32 are drawn after writing their images. Every other row
+is drawn by RandomSource itself, slower but identical: streams t >= 2^32,
+whose spawn key is more than one uint32 word; any trial with a null draw;
+and every trial where the probe fails, as on a numpy built without a native
+128-bit integer, whose {high, low} pcg128_t holds the two 64-bit halves of
+each word the other way round.
 """
 
 from __future__ import annotations
@@ -50,8 +52,6 @@ import threading
 from typing import Sequence
 
 import numpy as np
-
-from .linalg import CQVector
 
 # SeedSequence hash constants (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -95,10 +95,6 @@ class RandomSource:
             if nrm >= 1e-300:
                 return data / nrm
 
-    def sphere_vector(self, n: int) -> CQVector:
-        """Uniform draw on the quaternion unit sphere (unit sphere in R^{4n})."""
-        return CQVector(self.sphere_array(n))
-
 
 @functools.cache
 def _hashes(init: int, mult: int, skip: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,11 +112,6 @@ def _hashes(init: int, mult: int, skip: int, count: int) -> tuple[np.ndarray, np
 
 # generate_state's eight hashes, arranged as two passes over the pool words.
 _OUT_BEFORE, _OUT_AFTER = (h.reshape(2, _POOL_SIZE) for h in _hashes(_INIT_B, _MULT_B, 0, 8))
-
-
-def _state_image(state: int, inc: int) -> bytes:
-    """32-byte image of a PCG64 (state, inc): two little-endian 128-bit words."""
-    return (state | inc << 128).to_bytes(32, "little")
 
 
 def _pcg64_states(seed: int, start: int, stop: int) -> list[bytes]:
@@ -147,19 +138,11 @@ def _pcg64_states(seed: int, start: int, stop: int) -> list[bytes]:
     states = []
     for a, b, c, d in out.reshape(-1, 8).astype("<u4", copy=False).view("<u8").tolist():
         # pcg_setseq_128_srandom_r: inc = 2 seq + 1, two LCG steps from state 0;
-        # then _state_image, inlined.
+        # then the image, state in the low and inc in the high 128 bits.
         inc = ((c << 64 | d) << 1 | 1) & _MASK128
         state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128
         states.append((state | inc << 128).to_bytes(32, "little"))
     return states
-
-
-@functools.cache
-def _formula_matches_numpy() -> bool:
-    """Whether _pcg64_states reproduces numpy's seeding on a probe stream with a multi-word seed."""
-    seed, t = 2**160 + 7, _MASK32
-    state = RandomSource(seed, stream=t)._gen.bit_generator.state["state"]
-    return _pcg64_states(seed, t, t + 1) == [_state_image(state["state"], state["inc"])]
 
 
 def _state_pointer(bitgen: np.random.PCG64) -> int:
@@ -168,28 +151,34 @@ def _state_pointer(bitgen: np.random.PCG64) -> int:
 
 
 @functools.cache
-def _layout_matches() -> bool:
-    """Whether a fresh PCG64's pcg64_random_t holds its state's image; only reads it."""
-    bitgen = np.random.PCG64(2**128 - 1)
-    state = bitgen.state["state"]
-    return ctypes.string_at(_state_pointer(bitgen), 32) == _state_image(state["state"], state["inc"])
+def _formula_matches_numpy() -> bool:
+    """Whether _pcg64_states gives the bytes of a live pcg64_random_t; only reads it.
+
+    The probe stream has a multi-word seed, so one comparison checks both
+    the seeding formula and the struct's layout.
+    """
+    seed, t = 2**160 + 7, _MASK32
+    bitgen = RandomSource(seed, stream=t)._gen.bit_generator
+    return _pcg64_states(seed, t, t + 1) == [ctypes.string_at(_state_pointer(bitgen), 32)]
 
 
 _local = threading.local()
 
 
-def _thread_generator() -> tuple[np.random.PCG64, np.random.Generator, int]:
-    """This thread's PCG64, its Generator and the address of its pcg64_random_t.
+def _thread_generator() -> tuple[np.random.Generator, ctypes.Array]:
+    """This thread's Generator and a 32-byte view of its PCG64's pcg64_random_t.
 
-    sphere_draws switches the PCG64 to each trial's stream, by copying the
-    state image to that address while _layout_matches, else by setting
-    its state. The tuple keeps the PCG64, and so the address, alive.
+    sphere_draws switches the generator to each trial's stream by assigning
+    the state image to the view's raw bytes; it calls this only while
+    _formula_matches_numpy. The Generator keeps its PCG64, and so the
+    viewed struct, alive.
     """
     try:
         return _local.generator
     except AttributeError:
-        bitgen = np.random.PCG64(0)
-        _local.generator = (bitgen, np.random.Generator(bitgen), _state_pointer(bitgen))
+        gen = np.random.Generator(np.random.PCG64(0))
+        view = (ctypes.c_char * 32).from_address(_state_pointer(gen.bit_generator))
+        _local.generator = (gen, view)
         return _local.generator
 
 
@@ -198,11 +187,11 @@ def sphere_draws(seed: int, start: int, stop: int, dims: Sequence[int]) -> list[
 
     Row r of array k is bit for bit the k-th of the draws
     RandomSource(seed, stream=start + r).sphere_array(n) for n in dims,
-    taken in order. Rows of streams below 2^32 are drawn from states
-    computed by _pcg64_states while _formula_matches_numpy, and written in
-    place while _layout_matches. The other rows, and every
-    trial with a draw of norm below 1e-300, are drawn through RandomSource,
-    whose rejection loop then decides a null draw.
+    taken in order. While _formula_matches_numpy, rows of streams below
+    2^32 are drawn after writing the state images of _pcg64_states over
+    this thread's generator. Every other row, and every trial with a draw
+    of norm below 1e-300, is drawn through RandomSource, whose rejection
+    loop then decides a null draw.
     """
     seed, start, stop = int(seed), int(start), int(stop)
     if seed < 0 or start < 0:
@@ -216,19 +205,9 @@ def sphere_draws(seed: int, start: int, stop: int, dims: Sequence[int]) -> list[
     fast = max(0, min(stop, 1 << 32) - start) if _formula_matches_numpy() else 0
     redo = set(range(fast, count))
     if fast:
-        bitgen, gen, pointer = _thread_generator()
-        in_place = _layout_matches()
+        gen, view = _thread_generator()
         for row, image in enumerate(_pcg64_states(seed, start, start + fast)):
-            if in_place:
-                ctypes.memmove(pointer, image, 32)
-            else:
-                value = int.from_bytes(image, "little")
-                bitgen.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": value & _MASK128, "inc": value >> 128},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
+            view.raw = image
             for out in raw:
                 gen.standard_normal(out=out[row])
         for r, n in zip(raw, dims):

@@ -298,6 +298,7 @@ def maximize_form(
     bilinear problem is solved in full for the vectors; the objective is the
     winner's batch value, the same number form_trial_values reports.
     """
+    ratio = form_ratio_bound(form.dims, gamma) if gamma is not None else None
     best_so_far = form_running_best(form, trials, seed)
     best = int(np.argmax(best_so_far))
     d = form.order
@@ -308,7 +309,6 @@ def maximize_form(
     sol = solve_bilinear(sorted_form.contract_pair(xis, (d - 2, d - 1)))
     by_order = xis + [sol.x, sol.y]
     solution = [by_order[k] for k in np.argsort(perm)]
-    ratio = form_ratio_bound(form.dims, gamma) if gamma is not None else None
     return SolveReport(
         solution=solution,
         objective=float(best_so_far[-1]),

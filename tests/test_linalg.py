@@ -37,20 +37,20 @@ def re_bilinear(x, A, y):
 
 
 def test_re_bilinear_scalar_examples():
-    one = CQVector.from_quats([ONE])
-    eye = CQMatrix.from_quats([[ONE]])
+    one = CQVector([ONE.components()])
+    eye = CQMatrix([[ONE.components()]])
     assert re_bilinear(one, eye, one) == pytest.approx(1.0)
-    iv = CQVector.from_quats([I])
+    iv = CQVector([I.components()])
     assert re_bilinear(iv, eye, iv) == pytest.approx(-1.0)
 
 
 def test_real_block_of_real_unit():
-    block = real_block(CQMatrix.from_quats([[ONE]]))
+    block = real_block(CQMatrix([[ONE.components()]]))
     assert np.array_equal(block, np.diag([1.0, -1.0, 1.0, -1.0]))
 
 
 def test_real_block_of_imaginary_unit():
-    block = real_block(CQMatrix.from_quats([[I]]))
+    block = real_block(CQMatrix([[I.components()]]))
     expected = np.array(
         [
             [0, -1, 0, 0],
@@ -90,7 +90,7 @@ def test_cauchy_schwarz_surrogate():
 
 
 def test_vec_real_examples():
-    x = CQVector.from_quats([ONE + I])
+    x = CQVector([(ONE + I).components()])
     assert np.array_equal(vec_real(x), [1.0, 1.0, 0.0, 0.0])
     for _ in range(20):
         v = rand_vector(int(rng.integers(1, 7)))
@@ -127,7 +127,7 @@ def test_outer_product_basis():
 
 
 def test_outer_product_of_units():
-    t = outer_product([CQVector.from_quats([I]), CQVector.from_quats([J])])
+    t = outer_product([CQVector([I.components()]), CQVector([J.components()])])
     assert t[0, 0].components() == (0.0, 0.0, 0.0, 1.0)
 
 

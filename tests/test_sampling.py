@@ -1,3 +1,4 @@
+import ctypes
 import sys
 import threading
 
@@ -36,14 +37,14 @@ def test_interleaving_does_not_couple_streams():
 def test_sphere_norm_is_one():
     src = RandomSource(42)
     for _ in range(200):
-        v = src.sphere_vector(3)
+        v = CQVector(src.sphere_array(3))
         assert abs(v.norm() - 1.0) <= 1e-12
 
 
 def test_sphere_single_coordinate_has_unit_magnitude():
     src = RandomSource(42)
     for _ in range(50):
-        v = src.sphere_vector(1)
+        v = CQVector(src.sphere_array(1))
         assert abs(v[0]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -84,21 +85,22 @@ def test_validation():
         RandomSource(-1)
     src = RandomSource(1)
     with pytest.raises(ValueError):
-        src.sphere_vector(0)
+        src.sphere_array(0)
 
 
 def test_vector_type():
-    v = RandomSource(0).sphere_vector(3)
-    assert isinstance(v, CQVector)
-    assert len(v) == 3
+    raw = RandomSource(0).sphere_array(3)
+    assert type(raw) is np.ndarray and raw.dtype == np.float64
+    assert len(CQVector(raw)) == 3
 
 
 def test_sphere_vector_wraps_sphere_array():
+    # a CQVector of a draw keeps its components, and equal sources stay in step
     src_a, src_v = RandomSource(9, stream=4), RandomSource(9, stream=4)
     for n in (1, 3, 7):
         raw = src_a.sphere_array(n)
         assert raw.shape == (n, 4)
-        assert np.array_equal(src_v.sphere_vector(n).data, raw)
+        assert np.array_equal(CQVector(src_v.sphere_array(n)).data, raw)
     with pytest.raises(ValueError):
         src_a.sphere_array(0)
 
@@ -150,26 +152,38 @@ def test_sphere_draws_fallback_seeding_is_identical(monkeypatch):
             assert_draws_match_reference(seed, start, stop, GUARD_DIMS)
 
 
-def test_state_layout_is_active():
-    assert sampling._layout_matches()
+@pytest.fixture
+def fresh_probe():
+    # the probe is cached; clear it on both sides so that a forced result stays in its test
+    sampling._formula_matches_numpy.cache_clear()
+    yield
+    sampling._formula_matches_numpy.cache_clear()
 
 
-def test_sphere_draws_fallback_state_setter_is_identical(monkeypatch):
-    def unused(*args):
-        raise AssertionError("no state image may be written after a layout mismatch")
+def test_sphere_draws_foreign_state_layout_is_identical(monkeypatch, fresh_probe):
+    # a {high, low} pcg128_t holds the two 64-bit halves of each 128-bit word swapped
+    string_at = sampling.ctypes.string_at
 
-    monkeypatch.setattr(sampling, "_layout_matches", lambda: False)
-    monkeypatch.setattr(sampling.ctypes, "memmove", unused)
+    def high_low(address, size):
+        data = string_at(address, size)
+        return b"".join(data[i + 8 : i + 16] + data[i : i + 8] for i in range(0, size, 16))
+
+    def unused():
+        raise AssertionError("no state image may be written after a probe mismatch")
+
+    monkeypatch.setattr(sampling.ctypes, "string_at", high_low)
+    monkeypatch.setattr(sampling, "_thread_generator", unused)
+    assert not sampling._formula_matches_numpy()
     for seed in GUARD_SEEDS:
         for start, stop in GUARD_WINDOWS:
             assert_draws_match_reference(seed, start, stop, GUARD_DIMS)
 
 
 def test_in_place_switch_leaves_has_uint32_clear():
-    # the copy does not reset has_uint32, so no draw on the thread generator may set it
+    # the write does not reset has_uint32, so no draw on the thread generator may set it
     sphere_draws(6, 0, 20, [2, 3])
-    bitgen = sampling._thread_generator()[0]
-    assert bitgen.state["has_uint32"] == 0
+    gen = sampling._thread_generator()[0]
+    assert gen.bit_generator.state["has_uint32"] == 0
 
 
 def test_state_formula_sees_only_one_word_streams(monkeypatch):
@@ -194,7 +208,7 @@ class _ZeroGenerator:
 def test_sphere_draws_redo_null_draws_through_random_source(monkeypatch):
     # every batched draw is zero, so every trial goes through RandomSource's rejection loop
     bitgen = np.random.PCG64(0)
-    zeros = (bitgen, _ZeroGenerator(), sampling._state_pointer(bitgen))
+    zeros = (_ZeroGenerator(), (ctypes.c_char * 32).from_address(sampling._state_pointer(bitgen)))
     monkeypatch.setattr(sampling, "_thread_generator", lambda: zeros)
     assert_draws_match_reference(8, 5, 9, [3, 1])
 

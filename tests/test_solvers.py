@@ -60,8 +60,8 @@ def test_bilinear_all_ones(m, n):
 
 
 def test_bilinear_scalar_units():
-    assert solve_bilinear(CQMatrix.from_quats([[ONE]])).value == pytest.approx(1.0, abs=1e-10)
-    assert solve_bilinear(CQMatrix.from_quats([[CQuat(0, 1)]])).value == pytest.approx(1.0, abs=1e-10)
+    assert solve_bilinear(CQMatrix([[ONE.components()]])).value == pytest.approx(1.0, abs=1e-10)
+    assert solve_bilinear(CQMatrix([[CQuat(0, 1).components()]])).value == pytest.approx(1.0, abs=1e-10)
 
 
 def oracle_test_matrix(kind, m, n, data_seed):
@@ -100,7 +100,7 @@ def test_bilinear_dominates_random_feasible_pairs(rng):
     sol = solve_bilinear(A)
     src = RandomSource(11)
     for _ in range(200):
-        u, v = src.sphere_vector(3), src.sphere_vector(2)
+        u, v = CQVector(src.sphere_array(3)), CQVector(src.sphere_array(2))
         assert sol.value >= re_bilinear(u, A, v) - 1e-9
 
 
@@ -168,7 +168,7 @@ def test_maximize_form_d2_dominates_feasible_pairs(rng):
     report = maximize_form(form, 1, seed=0)
     src = RandomSource(23)
     for _ in range(1000):
-        u, v = src.sphere_vector(3), src.sphere_vector(3)
+        u, v = CQVector(src.sphere_array(3)), CQVector(src.sphere_array(3))
         assert report.objective >= form(u, v).re - 1e-9
 
 
@@ -204,6 +204,16 @@ def test_maximize_form_validation(rng):
         maximize_form(order_one, 5, seed=1)
 
 
+def test_maximize_form_rejects_gamma_before_any_trial(rng, monkeypatch):
+    def unused(*args):
+        raise AssertionError("no trial may run for a gamma out of range")
+
+    form = MultilinearForm(CQTensor(rng.uniform(-1, 1, size=(6, 6, 6, 4))))
+    monkeypatch.setattr(solvers, "form_running_best", unused)
+    with pytest.raises(ValueError, match="gamma must lie in"):
+        maximize_form(form, 20000, seed=1, gamma=1e9)
+
+
 def test_maximize_form_slot_permutation_restores_order(rng):
     # slots with unequal dims get sorted internally; outputs must match slots
     form = MultilinearForm(CQTensor(rng.uniform(-1, 1, size=(4, 2, 3, 4))))
@@ -220,7 +230,7 @@ def per_trial_values(form, trials, seed):
     values = []
     for t in range(trials):
         src = RandomSource(seed, stream=t)
-        xis = [src.sphere_vector(form.dims[s]) for s in perm[: d - 2]]
+        xis = [CQVector(src.sphere_array(form.dims[s])) for s in perm[: d - 2]]
         values.append(solve_bilinear(sorted_form.contract_pair(xis, (d - 2, d - 1))).value)
     return np.array(values)
 
@@ -411,7 +421,7 @@ def per_trial_starts(tensor, trials, seed):
     best = [(-1.0, 0), (-1.0, 0)]
     for t in range(trials):
         src = RandomSource(seed, stream=t)
-        draws = [cc_split(src.sphere_vector(tensor.dims[s]).data) for s in sampled]
+        draws = [cc_split(src.sphere_array(tensor.dims[s])) for s in sampled]
         for c in (0, 1):
             M = np.moveaxis(comps[c], sampled, list(range(d - 2)))
             for draw in draws:
