@@ -16,21 +16,28 @@ The states mirror numpy bit for bit:
 - SeedSequence(seed).pool is numpy's entropy pool after the words of the
   seed; the words of t are mixed into it by the hashmix and mix steps of
   O'Neill's seed_seq_fe, with the hash constant continued from where the
-  seed words left it;
+  seed words left it, as uint32 arrays over the whole range of t;
 - generate_state(4, uint64) hashes the pool into four 64-bit words, the
-  initial state and the stream selector;
-- pcg_setseq_128_srandom_r turns those into the PCG64 (state, inc) with two
-  steps of its 128-bit LCG (O'Neill, "PCG: A Family of Simple Fast
-  Space-Efficient Statistically Good Algorithms for Random Number
-  Generation", HMC-CS-2014-0905).
+  initial state s and the stream selector seq;
+- pcg_setseq_128_srandom_r turns those into the PCG64 inc = 2 seq + 1 and
+  state = (s + inc) M + inc mod 2^128, two steps of its 128-bit LCG with
+  multiplier M (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+  Statistically Good Algorithms for Random Number Generation",
+  HMC-CS-2014-0905).
 
 A state is kept as its 32-byte image: state and inc as little-endian
 128-bit words, which is how numpy's pcg64_random_t holds them where the C
-compiler has a native 128-bit integer. A trial's stream is switched by
-writing its image over that struct, found through the public
-PCG64.ctypes.state_address. The write leaves has_uint32 alone, which is
-harmless because only standard_normal, which never reads it, runs on the
-thread generators.
+compiler has a native 128-bit integer. The last step runs on all streams of
+a range at once: stream k is the 256-bit lane seq + s 2^128 at bit 256 k of
+one Python integer, and a few whole-integer shifts, masks, one add and one
+multiply by M leave image k in lane k, so the integer's bytes are the
+images back to back. No lane spills into the next: M < 2^126 and
+s + inc < 2^129, so (s + inc) M + inc < 2^256. A one-stream range costs
+what a per-stream loop did, so there is one path for every range size.
+A trial's stream is switched by writing its image over the struct, found
+through the public PCG64.ctypes.state_address. The write leaves has_uint32
+alone, which is harmless because only standard_normal, which never reads
+it, runs on the thread generators.
 
 One probe, run once, guards this. It only reads: the formula's image of a
 probe stream with a multi-word seed must equal the bytes of the live struct
@@ -48,6 +55,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import struct
 import threading
 from typing import Sequence
 
@@ -56,13 +64,13 @@ import numpy as np
 # SeedSequence hash constants (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
+# uint32 scalars: small ufunc calls resolve them faster than Python ints.
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 _POOL_SIZE = 4
 # Multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64/pcg64.h).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
 
 
 class RandomSource:
@@ -114,11 +122,12 @@ def _hashes(init: int, mult: int, skip: int, count: int) -> tuple[np.ndarray, np
 _OUT_BEFORE, _OUT_AFTER = (h.reshape(2, _POOL_SIZE) for h in _hashes(_INIT_B, _MULT_B, 0, 8))
 
 
-def _pcg64_states(seed: int, start: int, stop: int) -> list[bytes]:
+def _pcg64_states(seed: int, start: int, stop: int) -> bytes:
     """State images of PCG64(SeedSequence(entropy=seed, spawn_key=(t,))) for t in start..stop-1.
 
-    Every t must be below 2^32: the spawn key is then the one uint32 word t,
-    so each hash step runs once over the whole range.
+    Returns one bytes of 32 (stop - start) bytes, the image of stream t at
+    offset 32 (t - start). Every t must be below 2^32: the spawn key is then
+    the one uint32 word t, so each hash step runs once over the whole range.
     """
     pool = np.random.SeedSequence(seed).pool
     seed_words = max(1, -(-seed.bit_length() // 32))
@@ -135,14 +144,27 @@ def _pcg64_states(seed: int, start: int, stop: int) -> list[bytes]:
     # as four little-endian uint64 (state high, state low, seq high, seq low).
     out = (mixer ^ _OUT_BEFORE) * _OUT_AFTER
     out ^= out >> _XSHIFT
-    states = []
-    for a, b, c, d in out.reshape(-1, 8).astype("<u4", copy=False).view("<u8").tolist():
-        # pcg_setseq_128_srandom_r: inc = 2 seq + 1, two LCG steps from state 0;
-        # then the image, state in the low and inc in the high 128 bits.
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128
-        states.append((state | inc << 128).to_bytes(32, "little"))
-    return states
+    return _srandom_images(out.reshape(-1, 8))
+
+
+def _srandom_images(words: np.ndarray) -> bytes:
+    """pcg_setseq_128_srandom_r on each row of the (count, 8) uint32 words of generate_state.
+
+    Returns the rows' state images back to back. Row k is the 256-bit lane
+    seq + s 2^128 at bit 256 k of one integer, and every lane stays below
+    2^256 (see the module docstring), so no lane carries into the next.
+    """
+    count = len(words)
+    # The row's uint64 are (s high, s low, seq high, seq low); reversed, they are the lane.
+    lanes = int.from_bytes(words.astype("<u4", copy=False).view("<u8")[:, ::-1].tobytes(), "little")
+    # ones is bit 0 and low the low 128 bits of every lane; the shifts below move
+    # bits across lanes only where low then drops them.
+    ones = int.from_bytes((1).to_bytes(32, "little") * count, "little")
+    low = (ones << 128) - ones
+    # inc = 2 seq + 1, then two LCG steps from state 0: state = (s + inc) M + inc.
+    inc = lanes << 1 & low | ones
+    state = ((lanes >> 128 & low) + inc) * _PCG_MULT + inc & low
+    return (state | inc << 128).to_bytes(32 * count, "little")
 
 
 def _state_pointer(bitgen: np.random.PCG64) -> int:
@@ -159,7 +181,7 @@ def _formula_matches_numpy() -> bool:
     """
     seed, t = 2**160 + 7, _MASK32
     bitgen = RandomSource(seed, stream=t)._gen.bit_generator
-    return _pcg64_states(seed, t, t + 1) == [ctypes.string_at(_state_pointer(bitgen), 32)]
+    return _pcg64_states(seed, t, t + 1) == ctypes.string_at(_state_pointer(bitgen), 32)
 
 
 _local = threading.local()
@@ -206,7 +228,9 @@ def sphere_draws(seed: int, start: int, stop: int, dims: Sequence[int]) -> list[
     redo = set(range(fast, count))
     if fast:
         gen, view = _thread_generator()
-        for row, image in enumerate(_pcg64_states(seed, start, start + fast)):
+        # iter_unpack cuts the 32-byte images faster than a Python slice each
+        images = struct.iter_unpack("32s", _pcg64_states(seed, start, start + fast))
+        for row, (image,) in enumerate(images):
             view.raw = image
             for out in raw:
                 gen.standard_normal(out=out[row])

@@ -226,13 +226,64 @@ def test_sphere_draws_validation():
     assert sphere_draws(1, 0, 3, []) == []
 
 
+def numpy_image(seed, t):
+    # the 32-byte image of numpy's own PCG64 state: state low, inc high, little-endian
+    state = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(t,))).state["state"]
+    return (state["state"] | state["inc"] << 128).to_bytes(32, "little")
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**130), t=st.integers(0, 2**32 - 1))
 def test_pcg64_state_formula_matches_numpy(seed, t):
-    state = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(t,))).state
-    expected = state["state"]
-    image = (expected["state"] | expected["inc"] << 128).to_bytes(32, "little")
-    assert sampling._pcg64_states(seed, t, t + 1) == [image]
+    assert sampling._pcg64_states(seed, t, t + 1) == numpy_image(seed, t)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**130), start=st.integers(0, 2**32), count=st.integers(0, 64))
+@example(seed=2**130, start=2**32, count=64)
+@example(seed=0, start=0, count=64)
+def test_pcg64_state_windows_match_numpy(seed, start, count):
+    start = min(start, 2**32 - count)
+    expected = b"".join(numpy_image(seed, t) for t in range(start, start + count))
+    assert sampling._pcg64_states(seed, start, start + count) == expected
+
+
+def test_pcg64_state_window_at_stream_limit():
+    start, stop = 2**32 - 4096, 2**32
+    expected = b"".join(numpy_image(2**64 + 3, t) for t in range(start, stop))
+    assert sampling._pcg64_states(2**64 + 3, start, stop) == expected
+    assert sampling._pcg64_states(5, 7, 7) == b""
+
+
+def per_stream_images(words):
+    # pcg_setseq_128_srandom_r one stream at a time, from generate_state's four
+    # little-endian uint64 (state high, state low, seq high, seq low)
+    images = []
+    mask = (1 << 128) - 1
+    for a, b, c, d in words.astype("<u4").view("<u8").tolist():
+        inc = ((c << 64 | d) << 1 | 1) & mask
+        state = ((inc + (a << 64 | b)) * sampling._PCG_MULT + inc) & mask
+        images.append((state | inc << 128).to_bytes(32, "little"))
+    return b"".join(images)
+
+
+def test_lane_finish_does_not_spill_between_streams():
+    # all-ones words give s = seq = 2^128 - 1, the largest lane value (s + inc) M + inc;
+    # next to all-zero lanes any carry out of a lane would show in its neighbour
+    zeros = np.zeros(8, np.uint32)
+    ones = np.full(8, 2**32 - 1, np.uint32)
+    rng = np.random.default_rng(17)
+    random = rng.integers(0, 2**32, size=(5, 8), dtype=np.uint32)
+    cases = [
+        np.stack([zeros] * 3),
+        np.stack([ones] * 3),
+        np.stack([ones, zeros] * 3),
+        np.stack([zeros, ones] * 3),
+        np.concatenate([random, np.stack([ones, zeros, ones]), random]),
+    ]
+    for words in cases:
+        assert sampling._srandom_images(words) == per_stream_images(words)
+    assert sampling._srandom_images(np.zeros((0, 8), np.uint32)) == b""
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
