@@ -46,7 +46,6 @@ from .solvers import (
     best_rank_one,
     estimate_ball_min,
     form_ratio_bound,
-    form_trial_values,
     maximize_form,
     maximize_poly,
     poly_ratio_bound,
@@ -82,7 +81,6 @@ __all__ = [
     "estimate_ball_min",
     "form_ratio_bound",
     "poly_ratio_bound",
-    "form_trial_values",
     "ProbeResult",
     "estimate_tail_prob",
     "ExperimentConfig",

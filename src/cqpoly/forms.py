@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import CQuat
-from .linalg import CQMatrix, CQTensor, CQVector, qprod
+from .linalg import CQTensor, CQVector, qprod
 
 def _contract_leading(data: np.ndarray, vectors: Sequence[CQVector]) -> np.ndarray:
     """Contract the leading axes of a (..., 4) array with the given vectors."""
@@ -62,20 +62,6 @@ class MultilinearForm:
         for slot, vec in enumerate(xs):
             self._check_slot(slot, vec)
         return CQuat(*_contract_leading(self.tensor.data, xs))
-
-    def contract_pair(self, fixed: Sequence[CQVector], free_slots: tuple[int, int]) -> CQMatrix:
-        """Fix all but two slots; returns the matrix of the remaining bilinear form."""
-        d = self.order
-        s1, s2 = free_slots
-        if not (0 <= s1 < s2 < d):
-            raise ValueError(f"free slots must satisfy 0 <= s1 < s2 < {d}")
-        if len(fixed) != d - 2:
-            raise ValueError(f"expected {d - 2} fixed vectors, got {len(fixed)}")
-        slots = [s for s in range(d) if s not in (s1, s2)]
-        for slot, vec in zip(slots, fixed):
-            self._check_slot(slot, vec)
-        data = np.moveaxis(self.tensor.data, (s1, s2), (-3, -2))
-        return CQMatrix(_contract_leading(data, fixed))
 
 
 class PolyProblem:

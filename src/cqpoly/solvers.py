@@ -20,10 +20,16 @@ record: a block whose upper bound, with a relative margin of 1e-10, is
 strictly below the largest lower bound of the trials before it cannot
 raise or tie the best value so far, so it gets no SVD. The rest are
 valued by one batched LAPACK call for the top singular values, without
-singular vectors; that is the same call on the same block as in the
-exact form_trial_values, so the running maximum and its first maximizing
-trial are bit for bit those of the full array. Only the winning trial is
-then redrawn and solved in full by solve_bilinear.
+singular vectors; that is the call an SVD of every block would make on
+the same block, so the running maximum and its first maximizing trial
+are bit for bit those of solving every trial. Only the winning trial is
+then redrawn, from RandomSource(seed, stream=t), contracted in
+quaternion arithmetic and solved in full by solve_bilinear.
+
+Slots are processed in nondecreasing dimension order: the d-2 smallest
+are sampled on their spheres and the two largest are solved exactly, so a
+trial's value is max(sigma_1(A1), sigma_1(A2)) of its contracted C+C
+blocks. For d = 2 the problem is solved exactly once, as trial 0.
 
 Determinism contract: trial t's draws are, bit for bit, those of
 RandomSource(seed, stream=t) taken in slot order; sphere_draws produces
@@ -42,9 +48,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .forms import MultilinearForm, PolyProblem, symmetrize
+from .forms import MultilinearForm, PolyProblem, _contract_leading, symmetrize
 from .linalg import CQMatrix, CQTensor, CQVector, cc_join, cc_split, outer_product, scale_exponent
-from .sampling import sphere_draws
+from .sampling import RandomSource, sphere_draws
 
 DEGENERATE_NORM = 1e-12
 HOPM_MAX_SWEEPS = 500
@@ -197,8 +203,7 @@ def _trial_sigmas(
     comps: np.ndarray,
     trials: int,
     seed: int,
-    unit_components: bool = False,
-    records: str | None = None,
+    per_component: bool = False,
 ) -> np.ndarray:
     """Top singular value of each trial's two C+C blocks, as a (trials, 2) array.
 
@@ -206,18 +211,19 @@ def _trial_sigmas(
     slots leading. Trials run in chunks whose first contraction, the
     largest intermediate array, stays within TRIAL_CHUNK_BYTES.
 
-    With records set, a block gets an SVD only if it can set a new record
-    (see the module docstring); the others read -inf. A record is a new
-    maximum of the trial value max(sigma_1(A1), sigma_1(A2)) for
-    records="trial", or of each component's sigma_1 for records="component".
-    Block (t, c) is skipped only if upper(t, c) (1 + 1e-10) is below
-    floor (1 - 1e-10), where the floor is the largest lower bound from
-    _sigma_bounds over the trials before t (over both components for
-    "trial"). The floor starts at -inf, so trial 0 is always solved, and it
-    is always the lower bound of a solved block, since a skipped block's
-    lower bound is below it. It depends only on the trials before t, so
-    the skipped blocks do not depend on the trial count or the chunking
-    either. A one-trial run computes no bounds.
+    A block gets an SVD only if it can set a new record (see the module
+    docstring); the others read -inf. A record is a new maximum of the
+    trial value max(sigma_1(A1), sigma_1(A2)), or with per_component of
+    each component's sigma_1, whose draws are then normalized per
+    component (see _cc_draws). Block (t, c) is skipped only if
+    upper(t, c) (1 + 1e-10) is below floor (1 - 1e-10), where the floor is
+    the largest lower bound from _sigma_bounds over the trials before t
+    (over both components unless per_component). The floor starts at
+    -inf, so trial 0 is always solved, and it is always the lower bound of
+    a solved block, since a skipped block's lower bound is below it. It
+    depends only on the trials before t, so the skipped blocks do not
+    depend on the trial count or the chunking either. A one-trial run
+    computes no bounds.
 
     Bounds are compared only with each other, so they may be taken of all
     blocks times one power of two: 2^-e when the largest |entry| of comps
@@ -229,15 +235,15 @@ def _trial_sigmas(
     sampled = comps.shape[1:-2]
     chunk = max(1, TRIAL_CHUNK_BYTES // (32 * math.prod(comps.shape[2:])))
     sigmas = np.full((trials, 2), -np.inf)
-    floor = np.full((1, 1 if records == "trial" else 2), -np.inf)
+    floor = np.full((1, 2 if per_component else 1), -np.inf)
     for start in range(0, trials, chunk):
         stop = min(trials, start + chunk)
-        blocks = _contract_batch(comps, _cc_draws(sampled, start, stop, seed, unit_components))
-        if records is None or trials == 1:
+        blocks = _contract_batch(comps, _cc_draws(sampled, start, stop, seed, per_component))
+        if trials == 1:
             sigmas[start:stop] = np.linalg.svd(blocks, compute_uv=False)[..., 0]
             continue
         lower, upper = _sigma_bounds(blocks * scale if scale != 1.0 else blocks)
-        if records == "trial":
+        if not per_component:
             lower = lower.max(axis=1, keepdims=True)
         floors = np.maximum.accumulate(np.concatenate([floor, lower]), axis=0)
         need = upper * (1.0 + 1e-10) >= floors[:-1] * (1.0 - 1e-10)
@@ -252,37 +258,22 @@ def _sorted_tensor(form: MultilinearForm) -> np.ndarray:
     return np.transpose(form.tensor.data, perm + [form.order])
 
 
-def _form_values(form: MultilinearForm, trials: int, seed: int, records: str | None) -> np.ndarray:
+def form_running_best(form: MultilinearForm, trials: int, seed: int) -> np.ndarray:
+    """Best-of-(t + 1) value for every t, as a (trials,) array.
+
+    Trial t samples the d-2 smallest slots and solves the two largest
+    exactly (see the module docstring); for d = 2 the array has one entry.
+    A trial is solved only if its upper bound does not prove that it stays
+    below the best found before it (see _trial_sigmas), and the array is
+    bit for bit the running maximum of solving every trial.
+    """
     d = form.order
     if d < 2:
         raise ValueError("form must have order at least 2")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     comps = np.stack(cc_split(_sorted_tensor(form)))
-    return _trial_sigmas(comps, trials if d > 2 else 1, seed, records=records).max(axis=1)
-
-
-def form_trial_values(form: MultilinearForm, trials: int, seed: int) -> np.ndarray:
-    """Exact value of every independent trial, as a (trials,) array.
-
-    Slots are processed in nondecreasing dimension order: the d-2 smallest
-    are sampled on their spheres and the two largest are solved exactly, so
-    a trial's value is max(sigma_1(A1), sigma_1(A2)) of its contracted
-    C+C blocks. For d = 2 the problem is solved exactly once and the array
-    has one entry. This is the reference for form_running_best, which
-    solves only the trials that can set a new best.
-    """
-    return _form_values(form, trials, seed, None)
-
-
-def form_running_best(form: MultilinearForm, trials: int, seed: int) -> np.ndarray:
-    """Best-of-(t + 1) value for every t, as a (trials,) array.
-
-    Bit for bit np.maximum.accumulate(form_trial_values(form, trials,
-    seed)), but a trial is solved only if its upper bound does not prove
-    that it stays below the best found before it (see _trial_sigmas).
-    """
-    return np.maximum.accumulate(_form_values(form, trials, seed, "trial"))
+    return np.maximum.accumulate(_trial_sigmas(comps, trials if d > 2 else 1, seed).max(axis=1))
 
 
 def maximize_form(
@@ -294,19 +285,18 @@ def maximize_form(
 ) -> SolveReport:
     """Best-of-k randomized maximization of Re F on the product of spheres.
 
-    The first trial of largest value wins. Its draws are replayed and its
-    bilinear problem is solved in full for the vectors; the objective is the
-    winner's batch value, the same number form_trial_values reports.
+    The first trial of largest value wins. Its draws are replayed from
+    RandomSource(seed, stream=best) and its bilinear problem, contracted in
+    quaternion arithmetic, is solved in full for the vectors; the objective
+    is the winner's batch value, the last entry of form_running_best.
     """
     ratio = form_ratio_bound(form.dims, gamma) if gamma is not None else None
     best_so_far = form_running_best(form, trials, seed)
     best = int(np.argmax(best_so_far))
-    d = form.order
     perm = _slot_order(form.dims)
-    sampled = [form.dims[s] for s in perm[:-2]]
-    xis = [CQVector(draw[0]) for draw in sphere_draws(seed, best, best + 1, sampled)]
-    sorted_form = MultilinearForm(CQTensor(_sorted_tensor(form)))
-    sol = solve_bilinear(sorted_form.contract_pair(xis, (d - 2, d - 1)))
+    src = RandomSource(seed, stream=best)
+    xis = [CQVector(src.sphere_array(form.dims[s])) for s in perm[:-2]]
+    sol = solve_bilinear(CQMatrix(_contract_leading(_sorted_tensor(form), xis)))
     by_order = xis + [sol.x, sol.y]
     solution = [by_order[k] for k in np.argsort(perm)]
     return SolveReport(
@@ -460,7 +450,7 @@ def _randomized_starts(
     """Best start (trial, unit vectors) of the randomized scheme per component.
 
     Trial t draws one quaternion sphere vector for each of the d-2 smallest
-    slots, as RandomSource(seed, t) would and exactly as form_trial_values does;
+    slots, as RandomSource(seed, t) would and exactly as maximize_form does;
     each component uses its own normalized C+C part of the draw, and the two
     remaining slots are solved exactly by the top singular pair. All trials
     are valued in one batch, each component with an SVD only where it can
@@ -474,7 +464,7 @@ def _randomized_starts(
     free = sorted(set(range(d)) - set(sampled))
     moved = np.stack([np.moveaxis(c, sampled, list(range(d - 2))) for c in comps])
     sampled_dims = [dims[s] for s in sampled]
-    sigmas = _trial_sigmas(moved, trials if d > 2 else 1, seed, unit_components=True, records="component")
+    sigmas = _trial_sigmas(moved, trials if d > 2 else 1, seed, per_component=True)
     starts = []
     for c, t in enumerate(np.argmax(sigmas, axis=0)):
         xis = _cc_draws(sampled_dims, int(t), int(t) + 1, seed, unit_components=True)

@@ -16,6 +16,9 @@ computes by a second, plainer route:
 - ``whole_batch_tail_prob``: the tail probe drawn and counted one whole
   batch at a time. Checks that ``estimate_tail_prob``'s blocks give the
   same counts.
+- ``unscreened_sigmas`` and ``form_trial_values``: the trial loop with an
+  SVD of every block, one whole batch at a time. Checks that the blocks
+  the bounds of ``solvers._trial_sigmas`` skip never change a record.
 
 The real embedding stacks the component vectors in the fixed order
 (x0; x1; x2; x3), and maps an m x n matrix A to the 4m x 4n real grid
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cqpoly import CQMatrix, CQuat, CQVector, MultilinearForm, PolyProblem
+from cqpoly import CQMatrix, CQuat, CQVector, MultilinearForm, PolyProblem, cc_split, solvers
 from cqpoly.problab import _RE_SIGNS, _batches
 from cqpoly.sampling import RandomSource
 
@@ -151,3 +154,19 @@ def whole_batch_tail_prob(n: int, gamma: float, samples: int, seed: int, a: CQVe
         re_vals = draws.reshape(size, 4 * n) @ weights / nrm
         hits += int((re_vals >= cutoff).sum())
     return hits / samples
+
+
+def unscreened_sigmas(comps: np.ndarray, trials: int, seed: int, per_component: bool = False) -> np.ndarray:
+    """sigma_1 of both C+C blocks of every trial, as (trials, 2), each block by its own SVD.
+
+    Takes the arguments of solvers._trial_sigmas and draws and contracts the
+    same blocks, all trials in one batch, but skips none.
+    """
+    draws = solvers._cc_draws(comps.shape[1:-2], 0, trials, seed, per_component)
+    return np.linalg.svd(solvers._contract_batch(comps, draws), compute_uv=False)[..., 0]
+
+
+def form_trial_values(form: MultilinearForm, trials: int, seed: int) -> np.ndarray:
+    """Exact value of every trial of maximize_form, as a (trials,) array; one entry for d = 2."""
+    comps = np.stack(cc_split(solvers._sorted_tensor(form)))
+    return unscreened_sigmas(comps, trials if form.order > 2 else 1, seed).max(axis=1)

@@ -85,17 +85,6 @@ def test_eval_multilinearity_in_each_slot():
         assert np.allclose(lhs.components(), rhs_arr, atol=1e-10)
 
 
-def test_contract_pair_matches_bilinear_evaluation():
-    form = rand_form((2, 3, 2, 3))
-    fixed = [rand_vector(2), rand_vector(2)]
-    A = MultilinearForm(CQTensor(form.contract_pair(fixed, (1, 3)).data))
-    for _ in range(20):
-        u, v = rand_vector(3), rand_vector(3)
-        assert A(u, v).re == pytest.approx(
-            form(fixed[0], u, fixed[1], v).re, abs=1e-10
-        )
-
-
 def test_symmetrize_off_diagonal_pair():
     poly = PolyProblem(2, 2)
     poly.add_term((1, 2), ONE)
@@ -278,21 +267,6 @@ def test_poly_validation():
     [
         pytest.param(lambda f, x, y: f(x, y), "expected 3 vectors, got 2", id="count"),
         pytest.param(lambda f, x, y: f(x, y, y), "slot 2 expects length 4, got 3", id="length"),
-        pytest.param(
-            lambda f, x, y: f.contract_pair([x], (1, 1)),
-            "free slots must satisfy",
-            id="same-slot",
-        ),
-        pytest.param(
-            lambda f, x, y: f.contract_pair([x], (1, 3)),
-            "free slots must satisfy",
-            id="past-order",
-        ),
-        pytest.param(
-            lambda f, x, y: f.contract_pair([x, y], (1, 2)),
-            "expected 1 fixed vectors, got 2",
-            id="fixed",
-        ),
         pytest.param(lambda f, x, y: PolyProblem(2, 0), "dim must be at least 1", id="dim"),
     ],
 )

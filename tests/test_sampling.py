@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cqpoly import CQTensor, CQVector, MultilinearForm, RandomSource, form_trial_values
+from cqpoly import CQTensor, CQVector, MultilinearForm, RandomSource
 from cqpoly import sampling
 from cqpoly.sampling import sphere_draws
+from .oracles import form_trial_values
 
 
 def test_same_seed_and_stream_reproduce():

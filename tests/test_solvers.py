@@ -21,7 +21,6 @@ from cqpoly import (
     cc_split,
     estimate_ball_min,
     form_ratio_bound,
-    form_trial_values,
     maximize_form,
     maximize_poly,
     outer_product,
@@ -31,8 +30,9 @@ from cqpoly import (
 )
 from cqpoly import solvers
 from cqpoly.experiment import ExperimentConfig, run_experiment, run_seed_for
+from cqpoly.forms import _contract_leading
 from cqpoly.sampling import RandomSource
-from .oracles import real_block
+from .oracles import form_trial_values, real_block, unscreened_sigmas
 
 
 @pytest.fixture
@@ -216,22 +216,29 @@ def test_maximize_form_rejects_gamma_before_any_trial(rng, monkeypatch):
 
 def test_maximize_form_slot_permutation_restores_order(rng):
     # slots with unequal dims get sorted internally; outputs must match slots
-    form = MultilinearForm(CQTensor(rng.uniform(-1, 1, size=(4, 2, 3, 4))))
-    report = maximize_form(form, 20, seed=31)
-    assert [len(v) for v in report.solution] == [4, 2, 3]
-    assert form(*report.solution).re == pytest.approx(report.objective, abs=1e-9)
+    for dims in [(4, 2, 3), (5, 3, 4, 2)]:
+        form = MultilinearForm(CQTensor(rng.uniform(-1, 1, size=dims + (4,))))
+        sampled = [int(s) for s in np.argsort(dims, kind="stable")[:-2]]
+        for seed in (31, 0, 7, 123456):
+            report = maximize_form(form, 20, seed=seed)
+            assert [len(v) for v in report.solution] == list(dims)
+            assert form(*report.solution).re == pytest.approx(report.objective, abs=1e-9)
+            # the winner's draws, replayed in sorted slot order, sit in their own slots
+            src = RandomSource(seed, stream=report.best_trial)
+            for slot in sampled:
+                assert report.solution[slot].data.tobytes() == src.sphere_array(dims[slot]).tobytes()
 
 
 def per_trial_values(form, trials, seed):
-    # the trial loop one trial at a time: quaternion contract_pair, then solve_bilinear
+    # the trial loop one trial at a time: quaternion contraction, then solve_bilinear
     d = form.order
     perm = [int(s) for s in np.argsort(form.dims, kind="stable")]
-    sorted_form = MultilinearForm(CQTensor(np.transpose(form.tensor.data, perm + [d])))
+    sorted_data = np.transpose(form.tensor.data, perm + [d])
     values = []
     for t in range(trials):
         src = RandomSource(seed, stream=t)
         xis = [CQVector(src.sphere_array(form.dims[s])) for s in perm[: d - 2]]
-        values.append(solve_bilinear(sorted_form.contract_pair(xis, (d - 2, d - 1))).value)
+        values.append(solve_bilinear(CQMatrix(_contract_leading(sorted_data, xis))).value)
     return np.array(values)
 
 
@@ -254,13 +261,13 @@ def test_batched_values_match_per_trial_solves():
 
 def test_trial_values_do_not_depend_on_count_or_chunking(monkeypatch):
     form = MultilinearForm(CQTensor(np.random.default_rng(12).uniform(-1, 1, size=(3, 2, 4, 4))))
-    first = form_trial_values(form, 10, seed=5)
+    first = solvers.form_running_best(form, 10, seed=5)
     # a chunk of 3 trials, so 25 trials cross several chunk boundaries
     monkeypatch.setattr(solvers, "TRIAL_CHUNK_BYTES", 3 * 32 * 3 * 4)
-    chunked = form_trial_values(form, 25, seed=5)
+    chunked = solvers.form_running_best(form, 25, seed=5)
     assert np.array_equal(chunked[:10], first)
     monkeypatch.undo()
-    assert np.array_equal(form_trial_values(form, 25, seed=5), chunked)
+    assert np.array_equal(solvers.form_running_best(form, 25, seed=5), chunked)
 
 
 def record_test_tensor(kind, dims, data_seed):
@@ -301,6 +308,29 @@ def test_running_best_is_bit_equal_to_the_exact_values(kind, dims, data_seed, tr
     assert best.tobytes() == np.maximum.accumulate(exact).tobytes()
     assert report.best_trial == int(np.argmax(exact))
     assert report.objective == exact.max()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "all-ones", "real", "zero-slice", "zero"]),
+    dims=st.lists(st.integers(1, 5), min_size=3, max_size=5),
+    data_seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(1, 60),
+    chunk=st.sampled_from([None, 1, 3]),
+    scale=st.sampled_from([1.0, 1e-28, 1e28, 1e-40, 1e-200, 1e150, 2.0**-700, 2.0**700]),
+)
+def test_component_records_are_bit_equal_to_the_exact_values(kind, dims, data_seed, trials, chunk, scale):
+    # the per-component mode of _randomized_starts: each component keeps its own records
+    data = scale * record_test_tensor(kind, sorted(dims), data_seed).data
+    comps = np.stack(cc_split(data))
+    exact = unscreened_sigmas(comps, trials, data_seed, per_component=True)
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(solvers, "TRIAL_CHUNK_BYTES", chunk * 32 * math.prod(comps.shape[2:]))
+        sigmas = solvers._trial_sigmas(comps, trials, data_seed, per_component=True)
+    running = np.maximum.accumulate(sigmas, axis=0)
+    assert running.tobytes() == np.maximum.accumulate(exact, axis=0).tobytes()
+    assert np.argmax(sigmas, axis=0).tolist() == np.argmax(exact, axis=0).tolist()
 
 
 @pytest.fixture
