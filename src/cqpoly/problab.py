@@ -6,20 +6,17 @@ probe carry a unit constant: the true constants in the lower bounds are
 non-constructive, so the curves are for shape comparison only and are never
 asserted as ground-truth inequalities.
 
-Batches fix which stream each sample comes from: a batch holds BATCH_SIZE
-samples, or fewer when their draws would take more than BATCH_BYTES, so its
-size depends only on the dimension. Batch b draws from RandomSource(seed,
-stream=b) and counts merge by addition, so results do not depend on how
-batches are scheduled. Null samples (norm below 1e-300) are redrawn from
-the batch's stream after its last sample, in row order.
+Batches fix which stream each sample comes from: batch b holds the next
+BATCH_SIZE samples (the last batch may hold fewer) and draws them from
+RandomSource(seed, stream=b). Counts merge by addition, so results do not
+depend on how batches are scheduled. Null samples (norm below 1e-300) are
+redrawn from the batch's stream after its last sample, in row order.
 
-Blocks bound memory: a batch is drawn, normalized and counted in blocks of
-about BLOCK_BYTES of draws, which continue the stream's one sequence. A
-block's row count is a multiple of 64 because OpenBLAS's dgemv takes rows
-in groups; single-threaded, every row then keeps the bits of a whole-batch
-product. With several BLAS threads a row's bits can depend on the thread
-count, whole-batch too, so outputs are bit-reproducible for a fixed thread
-count (hit counts agreed in every case tried).
+Blocks bound memory: a batch is drawn and counted in blocks of about
+BLOCK_BYTES of draws, which continue the stream's one sequence. Each row's
+norm and Re(a^T xi) are taken by np.einsum without optimize, which sums
+each row on its own and calls no BLAS, so hit counts depend neither on the
+block size nor on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from .linalg import CQVector
 from .sampling import RandomSource
 
 BATCH_SIZE = 1 << 16
-BATCH_BYTES = 1 << 26
 BLOCK_BYTES = 1 << 18
 
 # Re(p q) contracts components with these signs.
@@ -66,24 +62,13 @@ def _improved_exponent(gamma: float, delta: float) -> float:
         raise ValueError(f"delta = {delta!r} is too large: delta**2 overflows") from None
 
 
-def _batches(samples: int, sample_bytes: int):
-    """(stream, size) of each batch when one sample's draws take sample_bytes."""
-    batch = max(1, min(BATCH_SIZE, BATCH_BYTES // sample_bytes))
-    offset = 0
-    stream = 0
-    while offset < samples:
-        size = min(batch, samples - offset)
-        yield stream, size
-        offset += size
-        stream += 1
-
-
 def _block_hits(draws: np.ndarray, weights: np.ndarray, cutoff: float) -> tuple[int, int]:
     """(hits, null rows) of one block of draws; a null row counts as no hit and is left to redraw."""
-    nrm = np.sqrt((draws**2).sum(axis=(1, 2)))
+    flat = draws.reshape(len(draws), -1)
+    nrm = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     null = nrm < 1e-300
     nrm[null] = np.nan
-    re_vals = draws.reshape(len(draws), -1) @ weights / nrm
+    re_vals = np.einsum("ij,j->i", flat, weights) / nrm
     return int((re_vals >= cutoff).sum()), int(null.sum())
 
 
@@ -119,9 +104,10 @@ def estimate_tail_prob(
     cutoff = threshold * a.norm()
     # Re(a^T xi) = sum_i [a_i0 xi_i0 - a_i1 xi_i1 + a_i2 xi_i2 - a_i3 xi_i3]
     weights = (a.data * _RE_SIGNS).ravel()
-    block = max(64, BLOCK_BYTES // (32 * n) // 64 * 64)
+    block = max(1, BLOCK_BYTES // (32 * n))
     hits = 0
-    for stream, size in _batches(samples, 32 * n):
+    for stream, offset in enumerate(range(0, samples, BATCH_SIZE)):
+        size = min(BATCH_SIZE, samples - offset)
         src = RandomSource(seed, stream=stream)
         nulls = 0
         for start in range(0, size, block):

@@ -142,17 +142,13 @@ def _slot_order(dims: Sequence[int]) -> list[int]:
     return [int(s) for s in np.argsort(dims, kind="stable")]
 
 
-def _cc_draws(
-    dims: Sequence[int], start: int, stop: int, seed: int, unit_components: bool
-) -> list[np.ndarray]:
-    """C+C parts, each (stop - start, 2, n), of the sphere draws of trials start..stop-1.
+def _cc_draws(draws: Sequence[np.ndarray], unit_components: bool) -> list[np.ndarray]:
+    """C+C parts (trials, 2, n) of quaternion sphere draws (trials, n, 4), one per slot.
 
-    Trial t draws one quaternion sphere vector per entry of dims, in order,
-    exactly as RandomSource(seed, stream=t) would (see sphere_draws). With
-    unit_components each complex component is normalized on its own (a zero
-    component is left as is).
+    With unit_components each complex component is normalized on its own
+    (a zero component is left as is).
     """
-    draws = [np.stack(cc_split(r), axis=1) for r in sphere_draws(seed, start, stop, dims)]
+    draws = [np.stack(cc_split(r), axis=1) for r in draws]
     if unit_components:
         for draw in draws:
             norms = np.linalg.norm(draw, axis=-1, keepdims=True)
@@ -238,7 +234,7 @@ def _trial_sigmas(
     floor = np.full((1, 2 if per_component else 1), -np.inf)
     for start in range(0, trials, chunk):
         stop = min(trials, start + chunk)
-        blocks = _contract_batch(comps, _cc_draws(sampled, start, stop, seed, per_component))
+        blocks = _contract_batch(comps, _cc_draws(sphere_draws(seed, start, stop, sampled), per_component))
         if trials == 1:
             sigmas[start:stop] = np.linalg.svd(blocks, compute_uv=False)[..., 0]
             continue
@@ -455,8 +451,8 @@ def _randomized_starts(
     remaining slots are solved exactly by the top singular pair. All trials
     are valued in one batch, each component with an SVD only where it can
     set a new record of its own (see _trial_sigmas); only each component's
-    first best trial is redrawn and given singular vectors. For d = 2 the
-    single exact solve is trial 0.
+    first best trial t is redrawn, from RandomSource(seed, stream=t), and
+    given singular vectors. For d = 2 the single exact solve is trial 0.
     """
     d = comps[0].ndim
     dims = comps[0].shape
@@ -467,7 +463,8 @@ def _randomized_starts(
     sigmas = _trial_sigmas(moved, trials if d > 2 else 1, seed, per_component=True)
     starts = []
     for c, t in enumerate(np.argmax(sigmas, axis=0)):
-        xis = _cc_draws(sampled_dims, int(t), int(t) + 1, seed, unit_components=True)
+        src = RandomSource(seed, stream=int(t))
+        xis = _cc_draws([src.sphere_array(n)[None] for n in sampled_dims], unit_components=True)
         U, _, Vh = np.linalg.svd(_contract_batch(moved, xis)[0, c])
         xs: list[np.ndarray] = [np.empty(0)] * d
         for slot, xi in zip(sampled, xis):

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from cqpoly import CQMatrix, CQuat, CQVector, MultilinearForm, PolyProblem, cc_split, solvers
-from cqpoly.problab import _RE_SIGNS, _batches
-from cqpoly.sampling import RandomSource
+from cqpoly.problab import _RE_SIGNS, BATCH_SIZE
+from cqpoly.sampling import RandomSource, sphere_draws
 
 
 def real_block(A: CQMatrix) -> np.ndarray:
@@ -125,8 +125,8 @@ def check_chi_square_tail(t: float, b, samples: int, seed: int) -> ChiSquareTail
     b = np.asarray(b, dtype=np.float64)
     cutoff = 2 * float(np.sqrt((b**2).sum())) * math.sqrt(t) + 2 * float(b.max()) * t
     hits = 0
-    for stream, size in _batches(samples, 8 * b.size):
-        eta = RandomSource(seed, stream=stream).normals((size, b.size))
+    for stream, offset in enumerate(range(0, samples, BATCH_SIZE)):
+        eta = RandomSource(seed, stream=stream).normals((min(BATCH_SIZE, samples - offset), b.size))
         z = (eta**2 - 1.0) @ b
         hits += int((z >= cutoff).sum())
     bound = math.exp(-t)
@@ -138,20 +138,22 @@ def whole_batch_tail_prob(n: int, gamma: float, samples: int, seed: int, a: CQVe
     """The tail probe's empirical probability, each batch drawn and counted in one piece.
 
     Null samples are redrawn in row order after the whole batch, until none
-    is left, and the redraws take their rows' places in the batch.
+    is left, and the redraws take their rows' places in the batch. Rows are
+    valued by the probe's row-local einsum products.
     """
     cutoff = math.sqrt(gamma * math.log(n) / n) * a.norm()
     weights = (a.data * _RE_SIGNS).ravel()
     hits = 0
-    for stream, size in _batches(samples, 32 * n):
+    for stream, offset in enumerate(range(0, samples, BATCH_SIZE)):
+        size = min(BATCH_SIZE, samples - offset)
         src = RandomSource(seed, stream=stream)
-        draws = src.normals((size, n, 4))
-        nrm = np.sqrt((draws**2).sum(axis=(1, 2)))
+        draws = src.normals((size, 4 * n))
+        nrm = np.sqrt(np.einsum("ij,ij->i", draws, draws))
         while np.any(nrm < 1e-300):
             bad = nrm < 1e-300
-            draws[bad] = src.normals((int(bad.sum()), n, 4))
-            nrm = np.sqrt((draws**2).sum(axis=(1, 2)))
-        re_vals = draws.reshape(size, 4 * n) @ weights / nrm
+            draws[bad] = src.normals((int(bad.sum()), 4 * n))
+            nrm = np.sqrt(np.einsum("ij,ij->i", draws, draws))
+        re_vals = np.einsum("ij,j->i", draws, weights) / nrm
         hits += int((re_vals >= cutoff).sum())
     return hits / samples
 
@@ -162,7 +164,7 @@ def unscreened_sigmas(comps: np.ndarray, trials: int, seed: int, per_component: 
     Takes the arguments of solvers._trial_sigmas and draws and contracts the
     same blocks, all trials in one batch, but skips none.
     """
-    draws = solvers._cc_draws(comps.shape[1:-2], 0, trials, seed, per_component)
+    draws = solvers._cc_draws(sphere_draws(seed, 0, trials, comps.shape[1:-2]), per_component)
     return np.linalg.svd(solvers._contract_batch(comps, draws), compute_uv=False)[..., 0]
 
 

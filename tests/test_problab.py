@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cqpoly import CQVector, estimate_tail_prob
+from cqpoly import CQVector, estimate_tail_prob, problab
 from cqpoly.sampling import RandomSource
 from .oracles import check_chi_square_tail, whole_batch_tail_prob
 
@@ -88,14 +88,49 @@ def test_tail_probe_redraws_a_null_row_of_a_later_block_until_it_is_not_null(mon
 
     monkeypatch.setattr(RandomSource, "normals", second_block_and_first_redraw_null)
     probe = estimate_tail_prob(3, 0.4, samples=6000, seed=6)
-    # n = 3 takes blocks of 2,688 rows; the null row 2,688 is redrawn after the batch, twice
-    assert shapes == [(2688, 3, 4), (2688, 3, 4), (624, 3, 4), (1, 3, 4), (1, 3, 4)]
+    # n = 3 takes blocks of BLOCK_BYTES // 96 rows (2,730); the null first row of the second
+    # block is redrawn after the batch, twice
+    block = problab.BLOCK_BYTES // 96
+    assert shapes == [(block, 3, 4), (block, 3, 4), (6000 - 2 * block, 3, 4), (1, 3, 4), (1, 3, 4)]
     src = RandomSource(6, stream=0)
     draws = normals(src, (6000, 3, 4))
     normals(src, (1, 3, 4))
-    draws[2688] = normals(src, (1, 3, 4))[0]
+    draws[block] = normals(src, (1, 3, 4))[0]
     re_vals = draws[:, 0, 0] / np.sqrt((draws**2).sum(axis=(1, 2)))
     assert probe.empirical_prob == (re_vals >= probe.threshold).sum() / 6000
+
+
+def null_rows_of_stream_0(monkeypatch, rows):
+    """Make the given rows of stream 0's sequence of draws null, wherever its blocks cut it."""
+    normals = RandomSource.normals
+    served = {}
+
+    def patched(self, shape):
+        draws = normals(self, shape)
+        first = served.get(self.stream, 0)
+        served[self.stream] = first + shape[0]
+        if self.stream == 0:
+            for row in rows:
+                if first <= row < first + shape[0]:
+                    draws[row - first] = 0.0
+        return draws
+
+    monkeypatch.setattr(RandomSource, "normals", patched)
+    return served
+
+
+@pytest.mark.parametrize("n", [3, 24, 40])
+def test_tail_probe_result_does_not_depend_on_the_block_size(monkeypatch, n):
+    a = CQVector(np.random.default_rng(n).standard_normal((n, 4)))
+    # row 100 is null, and so is its first redraw, the row after the batch
+    served = null_rows_of_stream_0(monkeypatch, (100, 20_000))
+    reference = estimate_tail_prob(n, 0.5, 20_000, seed=3, a=a)
+    assert served == {0: 20_002}
+    for rows in (1, 7, 64, 1000):
+        monkeypatch.setattr(problab, "BLOCK_BYTES", rows * 32 * n)
+        served = null_rows_of_stream_0(monkeypatch, (100, 20_000))
+        assert estimate_tail_prob(n, 0.5, 20_000, seed=3, a=a) == reference
+        assert served == {0: 20_002}
 
 
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
@@ -206,29 +241,33 @@ class _FirstBatch(Exception):
     pass
 
 
-class _SecondStream(Exception):
+class _ThirdStream(Exception):
     pass
 
 
-def test_tail_batch_is_sized_by_bytes(monkeypatch):
-    # record the draws the first stream serves, and stop when the second stream is asked for
-    shapes = []
+def test_each_tail_stream_serves_one_fixed_batch_in_blocks(monkeypatch):
+    # record the draws the first two streams serve, and stop when the third stream is asked for
+    shapes = {0: [], 1: []}
 
-    def first_stream(self, shape):
-        if self.stream > 0:
-            raise _SecondStream
-        shapes.append(shape)
+    def first_streams(self, shape):
+        if self.stream > 1:
+            raise _ThirdStream
+        shapes[self.stream].append(shape)
         return np.ones(shape)
 
-    monkeypatch.setattr(RandomSource, "normals", first_stream)
-    for n, batch in ((32, 1 << 16), (2000, 1048)):
-        shapes.clear()
-        with pytest.raises(_SecondStream):
+    monkeypatch.setattr(RandomSource, "normals", first_streams)
+    for n in (3, 32, 2000):
+        block = max(1, problab.BLOCK_BYTES // (32 * n))
+        for stream in shapes.values():
+            stream.clear()
+        with pytest.raises(_ThirdStream):
             estimate_tail_prob(n, 0.5, samples=1 << 20, seed=0)
-        assert sum(rows for rows, _, _ in shapes) == batch
-        assert all(shape[1:] == (n, 4) for shape in shapes)
-        # blocks keep every row's dgemv arithmetic; only the batch's last one may be short
-        assert all(rows % 64 == 0 for rows, _, _ in shapes[:-1])
+        for stream in shapes.values():
+            assert sum(rows for rows, _, _ in stream) == 1 << 16
+            assert all(shape[1:] == (n, 4) for shape in stream)
+            # every block but the batch's last one holds the block's rows, and none is empty
+            assert all(rows == block for rows, _, _ in stream[:-1])
+            assert 1 <= stream[-1][0] <= block
 
 
 def test_tail_parameters_are_checked_before_sampling(monkeypatch):

@@ -708,6 +708,29 @@ def test_rank_one_solve_makes_no_tensordot_call(monkeypatch):
     assert best_rank_one(tensor, 30, seed=1).lam > 0.0
 
 
+def test_winners_are_replayed_without_one_stream_sphere_draws(monkeypatch):
+    sphere_draws = solvers.sphere_draws
+
+    def chunks_only(seed, start, stop, dims):
+        if stop - start == 1:
+            raise AssertionError("a one-stream sphere_draws call")
+        return sphere_draws(seed, start, stop, dims)
+
+    monkeypatch.setattr(solvers, "sphere_draws", chunks_only)
+    g = np.random.default_rng(24)
+    for shape in [(4, 5, 6), (5, 3, 4, 2)]:
+        tensor = CQTensor(g.normal(size=shape + (4,)))
+        assert best_rank_one(tensor, 30, seed=1).lam > 0.0
+        maximize_form(MultilinearForm(tensor), 30, seed=1)
+        # each component's start in a sampled slot is its normalized C+C part of the replayed draw
+        sampled = [int(s) for s in np.argsort(shape, kind="stable")[:-2]]
+        for c, (t, xs) in enumerate(solvers._randomized_starts(cc_split(tensor.data), 30, seed=1)):
+            src = RandomSource(1, stream=t)
+            for slot in sampled:
+                z = cc_split(src.sphere_array(shape[slot]))[c]
+                assert xs[slot].tobytes() == (z / np.linalg.norm(z, axis=-1)).tobytes()
+
+
 def test_rank_one_scales_with_the_tensor_at_extreme_scales():
     # squares of entries near 2^+-700 overflow or underflow, so the solve must rescale
     tensor = CQTensor(np.random.default_rng(22).normal(size=(4, 5, 6, 4)))
