@@ -18,7 +18,7 @@ ends it with one line, ``Error: <message>``, and exit code 1; usage errors exit 
 from __future__ import annotations
 
 import os
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import click
@@ -27,12 +27,11 @@ from .experiment import ExperimentConfig, render_csv, render_markdown, run_exper
 from .forms import MultilinearForm
 from .io import csv_text, read_poly, read_tensor
 from .linalg import CQVector
-from .problab import estimate_tail_prob
+from .problab import ProbeResult, estimate_tail_prob
 from .solvers import SolveReport, best_rank_one, estimate_ball_min, maximize_form, maximize_poly
 
 REPORT_CSV_HEADER = "objective,trials,best_trial,seed,gamma,theoretical_ratio,upper_bound,degenerate"
-# The fields of ProbeResult, in order.
-PROB_CSV_HEADER = "n,gamma,delta,samples,threshold,empirical_prob,bound45,bound_improved"
+PROB_CSV_HEADER = ",".join(field.name for field in fields(ProbeResult))
 
 
 class _Commands(click.Group):
@@ -92,7 +91,7 @@ def solve_f(tensor_path, trials, seed, gamma, out_path, deterministic):
     report = maximize_form(MultilinearForm(read_tensor(tensor_path)), trials, seed, gamma=gamma)
     _echo_report(report)
     if out_path:
-        Path(out_path).write_text(_report_csv(report, gamma, deterministic), encoding="utf-8")
+        Path(out_path).write_text(_report_csv(report, gamma, deterministic), encoding="utf-8", newline="\n")
 
 
 @main.command("solve-p")
@@ -111,7 +110,7 @@ def solve_p(poly_path, trials, seed, gamma, estimate_min, out_path, deterministi
     if estimate_min:
         click.echo(f"ball minimum upper estimate: {estimate_ball_min(poly, trials, seed)!r}")
     if out_path:
-        Path(out_path).write_text(_report_csv(report, gamma, deterministic), encoding="utf-8")
+        Path(out_path).write_text(_report_csv(report, gamma, deterministic), encoding="utf-8", newline="\n")
 
 
 @main.command("rank-one")
@@ -162,7 +161,7 @@ def experiment(n_list, trial_schedule, runs, seed, out_path, fmt, deterministic)
         rows = run_experiment(config)
         rendered = render_csv(rows, deterministic) if fmt == "csv" else render_markdown(rows, config)
         if out_path:
-            Path(out_path).write_text(rendered, encoding="utf-8")
+            Path(out_path).write_text(rendered, encoding="utf-8", newline="\n")
     except BaseException:
         if created:
             Path(out_path).unlink(missing_ok=True)
@@ -191,7 +190,7 @@ def prob_check(n, gamma, delta, samples, seed, out_path, deterministic):
     probe = estimate_tail_prob(n, gamma, samples, seed, delta=delta)
     rendered = csv_text(PROB_CSV_HEADER, [astuple(probe)], deterministic)
     if out_path:
-        Path(out_path).write_text(rendered, encoding="utf-8")
+        Path(out_path).write_text(rendered, encoding="utf-8", newline="\n")
         click.echo(f"empirical probability: {probe.empirical_prob!r}")
         click.echo(f"wrote {out_path}")
     else:

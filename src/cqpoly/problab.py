@@ -9,7 +9,7 @@ asserted as ground-truth inequalities.
 Batches fix which stream each sample comes from: batch b holds the next
 BATCH_SIZE samples (the last batch may hold fewer) and draws them from
 RandomSource(seed, stream=b). Counts merge by addition, so results do not
-depend on how batches are scheduled. Null samples (norm below 1e-300) are
+depend on how batches are scheduled. Null samples (norm below NULL_NORM) are
 redrawn from the batch's stream after its last sample, in row order.
 
 Blocks bound memory: a batch is drawn and counted in blocks of about
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import CQVector
-from .sampling import RandomSource
+from .sampling import NULL_NORM, RandomSource
 
 BATCH_SIZE = 1 << 16
 BLOCK_BYTES = 1 << 18
@@ -66,7 +66,7 @@ def _block_hits(draws: np.ndarray, weights: np.ndarray, cutoff: float) -> tuple[
     """(hits, null rows) of one block of draws; a null row counts as no hit and is left to redraw."""
     flat = draws.reshape(len(draws), -1)
     nrm = np.sqrt(np.einsum("ij,ij->i", flat, flat))
-    null = nrm < 1e-300
+    null = nrm < NULL_NORM
     nrm[null] = np.nan
     re_vals = np.einsum("ij,j->i", flat, weights) / nrm
     return int((re_vals >= cutoff).sum()), int(null.sum())

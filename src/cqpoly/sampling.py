@@ -32,23 +32,23 @@ a range at once: stream k is the 256-bit lane seq + s 2^128 at bit 256 k of
 one Python integer, and a few whole-integer shifts, masks, one add and one
 multiply by M leave image k in lane k, so the integer's bytes are the
 images back to back. No lane spills into the next: M < 2^126 and
-s + inc < 2^129, so (s + inc) M + inc < 2^256. A one-stream range costs
-what a per-stream loop did, so there is one path for every range size.
-A trial's stream is switched by writing its image over the struct, found
-through the public PCG64.ctypes.state_address. The write leaves has_uint32
-alone, which is harmless because only standard_normal, which never reads
-it, runs on the thread generators.
+s + inc < 2^129, so (s + inc) M + inc < 2^256. A trial's stream is
+switched by writing its image over the struct, found through the public
+PCG64.ctypes.state_address. The write leaves has_uint32 alone, which is
+harmless because only standard_normal, which never reads it, runs on the
+thread generators.
 
 One probe, run once, guards this. It only reads: the formula's image of a
 probe stream with a multi-word seed must equal the bytes of the live struct
 behind RandomSource for that stream, which checks the seeding and the
-layout at once. So there are two draw paths. While the probe passes, rows
-of streams below 2^32 are drawn after writing their images. Every other row
-is drawn by RandomSource itself, slower but identical: streams t >= 2^32,
-whose spawn key is more than one uint32 word; any trial with a null draw;
-and every trial where the probe fails, as on a numpy built without a native
-128-bit integer, whose {high, low} pcg128_t holds the two 64-bit halves of
-each word the other way round.
+layout at once. While it passes, a range of two or more streams draws its
+rows of streams below 2^32 after writing their images. RandomSource draws
+every other row, bit for bit the same: a range of one stream, such as a
+winner's replay, where an image would cost more than it saves; streams
+t >= 2^32, whose spawn key is more than one uint32 word; any trial with a
+null draw; and every trial where the probe fails, as on a numpy built
+without a native 128-bit integer, whose {high, low} pcg128_t holds the two
+64-bit halves of each word the other way round. Empty dims draw nothing.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ _POOL_SIZE = 4
 # Multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64/pcg64.h).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = (1 << 32) - 1
+NULL_NORM = 1e-300  # a draw of smaller norm is null: drawn again, never normalized
 
 
 class RandomSource:
@@ -100,7 +101,7 @@ class RandomSource:
         while True:
             data = self._gen.standard_normal((n, 4))
             nrm = float(np.sqrt((data**2).sum()))
-            if nrm >= 1e-300:
+            if nrm >= NULL_NORM:
                 return data / nrm
 
 
@@ -209,11 +210,10 @@ def sphere_draws(seed: int, start: int, stop: int, dims: Sequence[int]) -> list[
 
     Row r of array k is bit for bit the k-th of the draws
     RandomSource(seed, stream=start + r).sphere_array(n) for n in dims,
-    taken in order. While _formula_matches_numpy, rows of streams below
-    2^32 are drawn after writing the state images of _pcg64_states over
-    this thread's generator. Every other row, and every trial with a draw
-    of norm below 1e-300, is drawn through RandomSource, whose rejection
-    loop then decides a null draw.
+    taken in order. The module docstring says which rows are drawn after
+    writing the state images of _pcg64_states over this thread's generator
+    and which through RandomSource, whose rejection loop decides every null
+    draw (norm below NULL_NORM). Empty dims return [] at once.
     """
     seed, start, stop = int(seed), int(start), int(stop)
     if seed < 0 or start < 0:
@@ -222,9 +222,11 @@ def sphere_draws(seed: int, start: int, stop: int, dims: Sequence[int]) -> list[
         raise ValueError("stop must not precede start")
     if any(n < 1 for n in dims):
         raise ValueError("dimension must be at least 1")
+    if not dims:
+        return []
     count = stop - start
     raw = [np.empty((count, n, 4)) for n in dims]
-    fast = max(0, min(stop, 1 << 32) - start) if _formula_matches_numpy() else 0
+    fast = max(0, min(stop, 1 << 32) - start) if count > 1 and _formula_matches_numpy() else 0
     redo = set(range(fast, count))
     if fast:
         gen, view = _thread_generator()
@@ -237,8 +239,8 @@ def sphere_draws(seed: int, start: int, stop: int, dims: Sequence[int]) -> list[
         for r, n in zip(raw, dims):
             r = r[:fast]
             nrm = np.sqrt(np.add.reduce(np.square(r).reshape(fast, 4 * n), axis=1))
-            if nrm.min() < 1e-300:
-                small = nrm < 1e-300
+            if nrm.min() < NULL_NORM:
+                small = nrm < NULL_NORM
                 nrm[small] = 1.0
                 redo.update(np.flatnonzero(small).tolist())
             r /= nrm[:, None, None]

@@ -22,9 +22,9 @@ raise or tie the best value so far, so it gets no SVD. The rest are
 valued by one batched LAPACK call for the top singular values, without
 singular vectors; that is the call an SVD of every block would make on
 the same block, so the running maximum and its first maximizing trial
-are bit for bit those of solving every trial. Only the winning trial is
-then redrawn, from RandomSource(seed, stream=t), contracted in
-quaternion arithmetic and solved in full by solve_bilinear.
+are bit for bit those of solving every trial. Only the winning trial t is
+then redrawn, as the one-stream range sphere_draws(seed, t, t + 1, ...),
+contracted in quaternion arithmetic and solved in full by solve_bilinear.
 
 Slots are processed in nondecreasing dimension order: the d-2 smallest
 are sampled on their spheres and the two largest are solved exactly, so a
@@ -50,7 +50,7 @@ import numpy as np
 
 from .forms import MultilinearForm, PolyProblem, _contract_leading, symmetrize
 from .linalg import CQMatrix, CQTensor, CQVector, cc_join, cc_split, outer_product, scale_exponent
-from .sampling import RandomSource, sphere_draws
+from .sampling import sphere_draws
 
 DEGENERATE_NORM = 1e-12
 HOPM_MAX_SWEEPS = 500
@@ -218,8 +218,8 @@ def _trial_sigmas(
     -inf, so trial 0 is always solved, and it is always the lower bound of
     a solved block, since a skipped block's lower bound is below it. It
     depends only on the trials before t, so the skipped blocks do not
-    depend on the trial count or the chunking either. A one-trial run
-    computes no bounds.
+    depend on the trial count or the chunking either. A run of one trial,
+    as is every run with no sampled slot (d = 2), computes no bounds.
 
     Bounds are compared only with each other, so they may be taken of all
     blocks times one power of two: 2^-e when the largest |entry| of comps
@@ -229,6 +229,7 @@ def _trial_sigmas(
     e = math.frexp(float(np.abs(comps).max(initial=0.0)))[1]
     scale = 2.0 ** -max(e, -1023) if abs(e) > 64 else 1.0
     sampled = comps.shape[1:-2]
+    trials = trials if sampled else 1
     chunk = max(1, TRIAL_CHUNK_BYTES // (32 * math.prod(comps.shape[2:])))
     sigmas = np.full((trials, 2), -np.inf)
     floor = np.full((1, 2 if per_component else 1), -np.inf)
@@ -269,7 +270,7 @@ def form_running_best(form: MultilinearForm, trials: int, seed: int) -> np.ndarr
     if trials < 1:
         raise ValueError("trials must be at least 1")
     comps = np.stack(cc_split(_sorted_tensor(form)))
-    return np.maximum.accumulate(_trial_sigmas(comps, trials if d > 2 else 1, seed).max(axis=1))
+    return np.maximum.accumulate(_trial_sigmas(comps, trials, seed).max(axis=1))
 
 
 def maximize_form(
@@ -281,17 +282,16 @@ def maximize_form(
 ) -> SolveReport:
     """Best-of-k randomized maximization of Re F on the product of spheres.
 
-    The first trial of largest value wins. Its draws are replayed from
-    RandomSource(seed, stream=best) and its bilinear problem, contracted in
-    quaternion arithmetic, is solved in full for the vectors; the objective
-    is the winner's batch value, the last entry of form_running_best.
+    The first trial of largest value wins. sphere_draws replays its draws,
+    and its bilinear problem, contracted in quaternion arithmetic, is solved
+    in full for the vectors; the objective is the winner's batch value, the
+    last entry of form_running_best.
     """
     ratio = form_ratio_bound(form.dims, gamma) if gamma is not None else None
     best_so_far = form_running_best(form, trials, seed)
     best = int(np.argmax(best_so_far))
     perm = _slot_order(form.dims)
-    src = RandomSource(seed, stream=best)
-    xis = [CQVector(src.sphere_array(form.dims[s])) for s in perm[:-2]]
+    xis = [CQVector(draw[0]) for draw in sphere_draws(seed, best, best + 1, sorted(form.dims)[:-2])]
     sol = solve_bilinear(CQMatrix(_contract_leading(_sorted_tensor(form), xis)))
     by_order = xis + [sol.x, sol.y]
     solution = [by_order[k] for k in np.argsort(perm)]
@@ -451,7 +451,7 @@ def _randomized_starts(
     remaining slots are solved exactly by the top singular pair. All trials
     are valued in one batch, each component with an SVD only where it can
     set a new record of its own (see _trial_sigmas); only each component's
-    first best trial t is redrawn, from RandomSource(seed, stream=t), and
+    first best trial t is redrawn, by sphere_draws(seed, t, t + 1, ...), and
     given singular vectors. For d = 2 the single exact solve is trial 0.
     """
     d = comps[0].ndim
@@ -459,12 +459,10 @@ def _randomized_starts(
     sampled = _slot_order(dims)[: d - 2]
     free = sorted(set(range(d)) - set(sampled))
     moved = np.stack([np.moveaxis(c, sampled, list(range(d - 2))) for c in comps])
-    sampled_dims = [dims[s] for s in sampled]
-    sigmas = _trial_sigmas(moved, trials if d > 2 else 1, seed, per_component=True)
+    sigmas = _trial_sigmas(moved, trials, seed, per_component=True)
     starts = []
     for c, t in enumerate(np.argmax(sigmas, axis=0)):
-        src = RandomSource(seed, stream=int(t))
-        xis = _cc_draws([src.sphere_array(n)[None] for n in sampled_dims], unit_components=True)
+        xis = _cc_draws(sphere_draws(seed, t, t + 1, moved.shape[1:-2]), unit_components=True)
         U, _, Vh = np.linalg.svd(_contract_batch(moved, xis)[0, c])
         xs: list[np.ndarray] = [np.empty(0)] * d
         for slot, xi in zip(sampled, xis):

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,6 +348,33 @@ def test_prob_check_csv_bytes(runner, monkeypatch):
         "n,gamma,delta,samples,threshold,empirical_prob,bound45,bound_improved\n"
         "5,0.5,,1000,0.1,0.3333333333333333,-0.0,\n"
     )
+
+
+def test_every_out_file_is_written_with_lf_newlines(tmp_path, runner, monkeypatch):
+    # write_text turns "\n" into os.linesep unless newline="\n" is given, so --out bytes
+    # would depend on the platform
+    calls = []
+
+    class RecordingPath(type(Path())):
+        def write_text(self, *args, **kwargs):
+            calls.append(kwargs)
+            return super().write_text(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "Path", RecordingPath)
+    tensor = write(tmp_path / "m.cqt", "CQT1\norder 2\ndims 1 1\n1 1 1.0 0.0 0.0 0.0\n")
+    poly = write(tmp_path / "p.cqp", "CQP1\ndegree 2\ndim 1\n1 1 1.0 0.0 0.0 0.0\n")
+    out = tmp_path / "out.csv"
+    for args in [
+        ["solve-f", "--tensor", tensor, "--trials", "2"],
+        ["solve-p", "--poly", poly, "--trials", "2"],
+        ["experiment", "--n-list", "2", "--trial-schedule", "1", "--runs", "1"],
+        ["prob-check", "--n", "3", "--gamma", "0.5", "--samples", "1000"],
+    ]:
+        calls.clear()
+        result = runner.invoke(main, args + ["--out", str(out), "--deterministic"])
+        assert result.exit_code == 0, result.output
+        assert calls == [{"encoding": "utf-8", "newline": "\n"}], args
+        assert b"\r" not in out.read_bytes()
 
 
 def test_experiment_csv_bytes():

@@ -109,9 +109,11 @@ def test_sphere_vector_wraps_sphere_array():
 GUARD_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128, 2**160 + 7]
 # 33 * 4 = 132 entries exceed numpy's 128-entry pairwise-summation block
 GUARD_DIMS = [1, 2, 7, 33]
-# trials 0-49, trial 10**6, the trials around 2**32, where streams leave the state
-# formula for RandomSource, and two trials past it
-GUARD_WINDOWS = [(0, 50), (10**6, 10**6 + 1), (2**32 - 2, 2**32 + 3), (2**32, 2**32 + 2)]
+# trials 0-49, trial 10**6 alone and with the next, the trials around 2**32, where
+# streams leave the state formula for RandomSource, and two trials past it
+GUARD_WINDOWS = [
+    (0, 50), (10**6, 10**6 + 1), (10**6, 10**6 + 2), (2**32 - 2, 2**32 + 3), (2**32, 2**32 + 2),
+]
 
 
 def reference_draws(seed, start, stop, dims):
@@ -198,7 +200,19 @@ def test_state_formula_sees_only_one_word_streams(monkeypatch):
     monkeypatch.setattr(sampling, "_pcg64_states", recording)
     for start, stop in GUARD_WINDOWS:
         sphere_draws(5, start, stop, [2])
-    assert ranges == [(0, 50), (10**6, 10**6 + 1), (2**32 - 2, 2**32)]
+    # a one-stream range is drawn by RandomSource; two streams are the formula's smallest range
+    assert ranges == [(0, 50), (10**6, 10**6 + 2), (2**32 - 2, 2**32)]
+
+
+def test_one_stream_ranges_and_empty_dims_skip_the_state_formula(monkeypatch):
+    def unused(*args):
+        raise AssertionError("a one-stream range reached the state formula")
+
+    monkeypatch.setattr(sampling, "_pcg64_states", unused)
+    for seed in (5, 2**160 + 7):
+        for t in (0, 10**6, 2**32 - 1, 2**32):
+            for dims in [(), [3], [3, 1]]:
+                assert_draws_match_reference(seed, t, t + 1, dims)
 
 
 class _ZeroGenerator:

@@ -28,7 +28,7 @@ from cqpoly import (
     solve_bilinear,
     symmetrize,
 )
-from cqpoly import solvers
+from cqpoly import sampling, solvers
 from cqpoly.experiment import ExperimentConfig, run_experiment, run_seed_for
 from cqpoly.forms import _contract_leading
 from cqpoly.sampling import RandomSource
@@ -708,15 +708,16 @@ def test_rank_one_solve_makes_no_tensordot_call(monkeypatch):
     assert best_rank_one(tensor, 30, seed=1).lam > 0.0
 
 
-def test_winners_are_replayed_without_one_stream_sphere_draws(monkeypatch):
-    sphere_draws = solvers.sphere_draws
+def test_no_winner_replay_reaches_the_state_formula(monkeypatch):
+    sampling._formula_matches_numpy()  # the cached probe runs the formula on one stream; warm it first
+    states = sampling._pcg64_states
 
-    def chunks_only(seed, start, stop, dims):
+    def ranges_only(seed, start, stop):
         if stop - start == 1:
-            raise AssertionError("a one-stream sphere_draws call")
-        return sphere_draws(seed, start, stop, dims)
+            raise AssertionError("a one-stream range reached the state formula")
+        return states(seed, start, stop)
 
-    monkeypatch.setattr(solvers, "sphere_draws", chunks_only)
+    monkeypatch.setattr(sampling, "_pcg64_states", ranges_only)
     g = np.random.default_rng(24)
     for shape in [(4, 5, 6), (5, 3, 4, 2)]:
         tensor = CQTensor(g.normal(size=shape + (4,)))
@@ -729,6 +730,26 @@ def test_winners_are_replayed_without_one_stream_sphere_draws(monkeypatch):
             for slot in sampled:
                 z = cc_split(src.sphere_array(shape[slot]))[c]
                 assert xs[slot].tobytes() == (z / np.linalg.norm(z, axis=-1)).tobytes()
+
+
+def test_order_two_solves_seed_no_stream(monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("an order-2 solve seeded a stream")
+
+    monkeypatch.setattr(sampling, "_pcg64_states", unused)
+    monkeypatch.setattr(RandomSource, "__init__", unused)
+    g = np.random.default_rng(25)
+    for shape in [(3, 6), (5, 3)]:
+        tensor = CQTensor(g.normal(size=shape + (4,)))
+        form = MultilinearForm(tensor)
+        exact = solve_bilinear(CQMatrix(tensor.data)).value
+        for trials in (1, 50):
+            assert solvers.form_running_best(form, trials, seed=1).shape == (1,)
+            report = maximize_form(form, trials, seed=1)
+            assert (report.trials, report.best_trial) == (1, 0)
+            assert report.objective == pytest.approx(exact, rel=1e-12)
+            result = best_rank_one(tensor, trials, seed=1)
+            assert (result.trials, result.best_trial) == (1, 0)
 
 
 def test_rank_one_scales_with_the_tensor_at_extreme_scales():
