@@ -10,6 +10,9 @@ Subcommands cover the four solver entry points and the probability probe:
 
 Outputs written with --out are byte-reproducible for a fixed command line
 and seed; a timestamp comment is prepended unless --deterministic is given.
+With --gamma, solve-f and solve-p also print the paper's ratio formula, which
+the CLI computes from the instance's shape before solving; the report CSV
+keeps its upper_bound column, always empty, for format stability.
 
 Errors: an OSError, ValueError or MemoryError raised anywhere in a command
 ends it with one line, ``Error: <message>``, and exit code 1; usage errors exit 2.
@@ -25,10 +28,12 @@ import click
 
 from .experiment import ExperimentConfig, render_csv, render_markdown, run_experiment, summarize
 from .forms import MultilinearForm
-from .io import csv_text, read_poly, read_tensor
+from .io import csv_text, read_poly, read_tensor, write_text
 from .linalg import CQVector
 from .problab import ProbeResult, estimate_tail_prob
-from .solvers import SolveReport, best_rank_one, estimate_ball_min, maximize_form, maximize_poly
+from .solvers import (
+    SolveReport, best_rank_one, estimate_ball_min, form_ratio_bound, maximize_form, maximize_poly, poly_ratio_bound,
+)
 
 REPORT_CSV_HEADER = "objective,trials,best_trial,seed,gamma,theoretical_ratio,upper_bound,degenerate"
 PROB_CSV_HEADER = ",".join(field.name for field in fields(ProbeResult))
@@ -51,25 +56,23 @@ def _echo_vector(label: str, vec: CQVector) -> None:
     click.echo(f"{label}: ({rendered})")
 
 
-def _echo_report(report: SolveReport) -> None:
+def _echo_report(report: SolveReport, ratio: float | None) -> None:
     click.echo(f"objective: {report.objective!r}")
     click.echo(f"trials: {report.trials}")
     click.echo(f"best trial: {report.best_trial}")
     click.echo(f"seed: {report.seed}")
-    if report.theoretical_ratio is not None:
-        click.echo(f"theoretical ratio: {report.theoretical_ratio!r}")
-    if report.upper_bound is not None:
-        click.echo(f"upper bound: {report.upper_bound!r}")
+    if ratio is not None:
+        click.echo(f"theoretical ratio: {ratio!r}")
     if report.degenerate:
         click.echo("degenerate: true")
     for k, vec in enumerate(report.solution, start=1):
         _echo_vector(f"solution[{k}]", vec)
 
 
-def _report_csv(report: SolveReport, gamma: float | None, deterministic: bool) -> str:
+def _report_csv(report: SolveReport, gamma: float | None, ratio: float | None, deterministic: bool) -> str:
     row = (
         report.objective, report.trials, report.best_trial, report.seed,
-        gamma, report.theoretical_ratio, report.upper_bound, report.degenerate,
+        gamma, ratio, None, report.degenerate,
     )
     return csv_text(REPORT_CSV_HEADER, [row], deterministic)
 
@@ -88,10 +91,12 @@ def main():
 @click.option("--deterministic", is_flag=True, help="Suppress the timestamp header in --out files.")
 def solve_f(tensor_path, trials, seed, gamma, out_path, deterministic):
     """Maximize Re F(x1, ..., xd) over unit spheres for a tensor file."""
-    report = maximize_form(MultilinearForm(read_tensor(tensor_path)), trials, seed, gamma=gamma)
-    _echo_report(report)
+    form = MultilinearForm(read_tensor(tensor_path))
+    ratio = form_ratio_bound(form.dims, gamma) if gamma is not None else None
+    report = maximize_form(form, trials, seed)
+    _echo_report(report, ratio)
     if out_path:
-        Path(out_path).write_text(_report_csv(report, gamma, deterministic), encoding="utf-8", newline="\n")
+        write_text(out_path, _report_csv(report, gamma, ratio, deterministic))
 
 
 @main.command("solve-p")
@@ -105,12 +110,13 @@ def solve_f(tensor_path, trials, seed, gamma, out_path, deterministic):
 def solve_p(poly_path, trials, seed, gamma, estimate_min, out_path, deterministic):
     """Maximize Re H(x) over the unit sphere for a polynomial file."""
     poly = read_poly(poly_path)
-    report = maximize_poly(poly, trials, seed, gamma=gamma)
-    _echo_report(report)
+    ratio = poly_ratio_bound(poly.degree, poly.dim, gamma) if gamma is not None else None
+    report = maximize_poly(poly, trials, seed)
+    _echo_report(report, ratio)
     if estimate_min:
         click.echo(f"ball minimum upper estimate: {estimate_ball_min(poly, trials, seed)!r}")
     if out_path:
-        Path(out_path).write_text(_report_csv(report, gamma, deterministic), encoding="utf-8", newline="\n")
+        write_text(out_path, _report_csv(report, gamma, ratio, deterministic))
 
 
 @main.command("rank-one")
@@ -161,7 +167,7 @@ def experiment(n_list, trial_schedule, runs, seed, out_path, fmt, deterministic)
         rows = run_experiment(config)
         rendered = render_csv(rows, deterministic) if fmt == "csv" else render_markdown(rows, config)
         if out_path:
-            Path(out_path).write_text(rendered, encoding="utf-8", newline="\n")
+            write_text(out_path, rendered)
     except BaseException:
         if created:
             Path(out_path).unlink(missing_ok=True)
@@ -190,7 +196,7 @@ def prob_check(n, gamma, delta, samples, seed, out_path, deterministic):
     probe = estimate_tail_prob(n, gamma, samples, seed, delta=delta)
     rendered = csv_text(PROB_CSV_HEADER, [astuple(probe)], deterministic)
     if out_path:
-        Path(out_path).write_text(rendered, encoding="utf-8", newline="\n")
+        write_text(out_path, rendered)
         click.echo(f"empirical probability: {probe.empirical_prob!r}")
         click.echo(f"wrote {out_path}")
     else:

@@ -1,4 +1,4 @@
-"""Text file formats for tensors and polynomials, and the CSV report writer.
+"""Text file formats for tensors and polynomials, the CSV report writer and the file writer.
 
 Tensor files (UTF-8, LF line endings):
 
@@ -146,7 +146,7 @@ def read_tensor(path) -> CQTensor:
 
 
 def write_tensor(tensor: CQTensor, path) -> None:
-    Path(path).write_text(dumps_tensor(tensor), encoding="utf-8", newline="\n")
+    write_text(path, dumps_tensor(tensor))
 
 
 def loads_poly(text: str, source: str = "<string>") -> PolyProblem:
@@ -174,7 +174,12 @@ def read_poly(path) -> PolyProblem:
 
 
 def write_poly(poly: PolyProblem, path) -> None:
-    Path(path).write_text(dumps_poly(poly), encoding="utf-8", newline="\n")
+    write_text(path, dumps_poly(poly))
+
+
+def write_text(path, text: str) -> None:
+    """Write text to path as UTF-8 with LF line endings, whatever the platform's os.linesep."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def timestamp_line(prefix: str, suffix: str = "") -> str:

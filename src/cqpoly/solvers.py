@@ -118,12 +118,12 @@ def solve_bilinear(A: CQMatrix) -> BilinearSolution:
 
 @dataclass
 class SolveReport:
-    """Best solution of a randomized run plus the reporting quantities.
+    """What a randomized solve found: its best solution and how to replay it.
 
     ``solution`` holds one unit vector per slot for form problems, or a
-    single stacked vector for polynomial problems. ``theoretical_ratio`` and
-    ``upper_bound`` are attached for reporting only; they are never used as
-    optimality certificates.
+    single stacked vector for polynomial problems; ``seed`` and
+    ``best_trial`` replay the winning trial. The paper's ratio formula is
+    the CLI's to print (form_ratio_bound, poly_ratio_bound).
     """
 
     solution: list[CQVector]
@@ -131,8 +131,6 @@ class SolveReport:
     trials: int
     best_trial: int
     seed: int
-    theoretical_ratio: float | None = None
-    upper_bound: float | None = None
     degenerate: bool = False
     relaxation: "SolveReport | None" = field(default=None, repr=False)
 
@@ -273,13 +271,7 @@ def form_running_best(form: MultilinearForm, trials: int, seed: int) -> np.ndarr
     return np.maximum.accumulate(_trial_sigmas(comps, trials, seed).max(axis=1))
 
 
-def maximize_form(
-    form: MultilinearForm,
-    trials: int,
-    seed: int,
-    gamma: float | None = None,
-    upper_bound: float | None = None,
-) -> SolveReport:
+def maximize_form(form: MultilinearForm, trials: int, seed: int) -> SolveReport:
     """Best-of-k randomized maximization of Re F on the product of spheres.
 
     The first trial of largest value wins. sphere_draws replays its draws,
@@ -287,7 +279,6 @@ def maximize_form(
     in full for the vectors; the objective is the winner's batch value, the
     last entry of form_running_best.
     """
-    ratio = form_ratio_bound(form.dims, gamma) if gamma is not None else None
     best_so_far = form_running_best(form, trials, seed)
     best = int(np.argmax(best_so_far))
     perm = _slot_order(form.dims)
@@ -301,15 +292,11 @@ def maximize_form(
         trials=len(best_so_far),
         best_trial=best,
         seed=seed,
-        theoretical_ratio=ratio,
-        upper_bound=upper_bound,
         degenerate=sol.degenerate,
     )
 
 
-def maximize_poly(
-    poly: PolyProblem, trials: int, seed: int, gamma: float | None = None
-) -> SolveReport:
+def maximize_poly(poly: PolyProblem, trials: int, seed: int) -> SolveReport:
     """Randomized maximization of Re H on the unit sphere.
 
     The polynomial is relaxed to its super-symmetric multilinear form, the
@@ -326,7 +313,6 @@ def maximize_poly(
     if d < 2:
         raise ValueError("degree must be at least 2")
     form = symmetrize(poly)
-    ratio = poly_ratio_bound(d, n, gamma) if gamma is not None else None
     if not form.tensor.data.any():
         return SolveReport(
             solution=[CQVector.basis(n, 0)],
@@ -334,7 +320,6 @@ def maximize_poly(
             trials=1,
             best_trial=0,
             seed=seed,
-            theoretical_ratio=ratio,
             degenerate=True,
         )
     relaxed = maximize_form(form, trials, seed)
@@ -354,7 +339,6 @@ def maximize_poly(
         trials=relaxed.trials,
         best_trial=relaxed.best_trial,
         seed=seed,
-        theoretical_ratio=ratio,
         degenerate=degenerate or relaxed.degenerate,
         relaxation=relaxed,
     )
@@ -442,8 +426,8 @@ def _hopm(data: np.ndarray, xs: list[np.ndarray]) -> tuple[float, list[np.ndarra
 
 def _randomized_starts(
     comps: Sequence[np.ndarray], trials: int, seed: int
-) -> list[tuple[int, list[np.ndarray]]]:
-    """Best start (trial, unit vectors) of the randomized scheme per component.
+) -> tuple[int, list[tuple[int, list[np.ndarray]]]]:
+    """Trials run, and the best start (trial, unit vectors) of each component.
 
     Trial t draws one quaternion sphere vector for each of the d-2 smallest
     slots, as RandomSource(seed, t) would and exactly as maximize_form does;
@@ -469,7 +453,7 @@ def _randomized_starts(
             xs[slot] = xi[0, c]
         xs[free[0]], xs[free[1]] = U[:, 0].conj(), Vh[0].conj()
         starts.append((int(t), xs))
-    return starts
+    return len(sigmas), starts
 
 
 def best_rank_one(tensor: CQTensor, trials: int, seed: int) -> RankOneResult:
@@ -501,7 +485,7 @@ def best_rank_one(tensor: CQTensor, trials: int, seed: int) -> RankOneResult:
     if e:
         tensor = CQTensor(np.ldexp(tensor.data, -e))
     comps = cc_split(tensor.data)
-    starts = _randomized_starts(comps, trials, seed)
+    ran, starts = _randomized_starts(comps, trials, seed)
     scales, directions = [], []
     for comp, (_, xs) in zip(comps, starts):
         scale, xs = _hopm(comp, xs)
@@ -526,7 +510,7 @@ def best_rank_one(tensor: CQTensor, trials: int, seed: int) -> RankOneResult:
         residual=residual,
         direct_residual=direct,
         identity_gap=identity_gap,
-        trials=trials if d > 2 else 1,
+        trials=ran,
         best_trial=starts[int(np.argmax(s))][0],
         seed=seed,
     )

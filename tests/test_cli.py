@@ -9,12 +9,17 @@ from click.testing import CliRunner
 
 from cqpoly import (
     CQTensor,
+    CQuat,
     CQVector,
     ExperimentRow,
+    PolyProblem,
     ProbeResult,
     SolveReport,
+    form_ratio_bound,
     outer_product,
+    poly_ratio_bound,
     render_csv,
+    write_poly,
     write_tensor,
 )
 from cqpoly import cli
@@ -69,15 +74,34 @@ def test_solve_f_gamma_out_writes_csv(tmp_path, runner):
         tmp_path / "m.cqt",
         "CQT1\norder 2\ndims 2 2\n1 1 1.0 0.0 0.0 0.0\n2 2 -1.0 0.5 0.0 0.0\n",
     )
+    poly = write(tmp_path / "p.cqp", "CQP1\ndegree 3\ndim 3\n1 2 3 1.0 0.0 0.5 0.0\n")
     out = tmp_path / "report.csv"
-    result = runner.invoke(
-        main,
-        ["solve-f", "--tensor", path, "--gamma", "0.5", "--out", str(out), "--deterministic"],
-    )
-    assert result.exit_code == 0, result.output
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("objective,")
-    assert "theoretical ratio" in result.output
+    for args, ratio in [
+        (["solve-f", "--tensor", path], form_ratio_bound((2, 2), 0.5)),
+        (["solve-p", "--poly", poly], poly_ratio_bound(3, 3, 0.5)),
+    ]:
+        result = runner.invoke(main, args + ["--gamma", "0.5", "--out", str(out), "--deterministic"])
+        assert result.exit_code == 0, result.output
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("objective,")
+        assert f"theoretical ratio: {ratio!r}" in result.output
+        # the gamma and ratio cells, then an empty upper_bound cell
+        assert lines[1].split(",")[4:7] == ["0.5", repr(ratio), ""]
+
+
+def test_out_of_range_gamma_fails_before_any_trial(tmp_path, runner, monkeypatch):
+    def unused(*args):
+        raise AssertionError("no trial may run for a gamma out of range")
+
+    monkeypatch.setattr(cli, "maximize_form", unused)
+    monkeypatch.setattr(cli, "maximize_poly", unused)
+    tensor = write(tmp_path / "m.cqt", "CQT1\norder 3\ndims 6 6 6\n1 1 1 1.0 0.0 0.0 0.0\n")
+    poly = write(tmp_path / "p.cqp", "CQP1\ndegree 3\ndim 6\n1 1 1 1.0 0.0 0.0 0.0\n")
+    for args in (["solve-f", "--tensor", tensor], ["solve-p", "--poly", poly]):
+        result = runner.invoke(main, args + ["--gamma", "1e9"])
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: gamma must lie in")
+        assert len(result.output.splitlines()) == 1
 
 
 def test_solve_p_cubic_monomial(tmp_path, runner):
@@ -323,16 +347,15 @@ def test_report_csv_bytes():
     report = SolveReport(
         solution=[CQVector.basis(2, 0)], objective=0.0, trials=1, best_trial=0, seed=42, degenerate=True
     )
-    assert cli._report_csv(report, None, deterministic=True) == (
+    assert cli._report_csv(report, None, None, deterministic=True) == (
         "objective,trials,best_trial,seed,gamma,theoretical_ratio,upper_bound,degenerate\n"
         "0.0,1,0,42,,,,true\n"
     )
     report = SolveReport(
-        solution=[CQVector.basis(2, 0)], objective=1.25, trials=7, best_trial=3, seed=5,
-        theoretical_ratio=0.1, upper_bound=2e-320, degenerate=False,
+        solution=[CQVector.basis(2, 0)], objective=1.25, trials=7, best_trial=3, seed=5, degenerate=False
     )
-    assert cli._report_csv(report, 0.5, deterministic=True).splitlines()[1] == (
-        "1.25,7,3,5,0.5,0.1,2e-320,false"
+    assert cli._report_csv(report, 0.5, 2e-320, deterministic=True).splitlines()[1] == (
+        "1.25,7,3,5,0.5,2e-320,,false"
     )
 
 
@@ -351,8 +374,8 @@ def test_prob_check_csv_bytes(runner, monkeypatch):
 
 
 def test_every_out_file_is_written_with_lf_newlines(tmp_path, runner, monkeypatch):
-    # write_text turns "\n" into os.linesep unless newline="\n" is given, so --out bytes
-    # would depend on the platform
+    # write_text turns "\n" into os.linesep unless newline="\n" is given, so file bytes
+    # would depend on the platform; every file goes through io.write_text, which gives it
     calls = []
 
     class RecordingPath(type(Path())):
@@ -360,21 +383,28 @@ def test_every_out_file_is_written_with_lf_newlines(tmp_path, runner, monkeypatc
             calls.append(kwargs)
             return super().write_text(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "Path", RecordingPath)
-    tensor = write(tmp_path / "m.cqt", "CQT1\norder 2\ndims 1 1\n1 1 1.0 0.0 0.0 0.0\n")
-    poly = write(tmp_path / "p.cqp", "CQP1\ndegree 2\ndim 1\n1 1 1.0 0.0 0.0 0.0\n")
-    out = tmp_path / "out.csv"
+    def check(path):
+        assert calls == [{"encoding": "utf-8", "newline": "\n"}], path
+        assert b"\r" not in path.read_bytes()
+        calls.clear()
+
+    monkeypatch.setattr("cqpoly.io.Path", RecordingPath)
+    tensor, poly, out = tmp_path / "m.cqt", tmp_path / "p.cqp", tmp_path / "out.csv"
+    write_tensor(CQTensor.from_real(np.ones((1, 1))), tensor)
+    check(tensor)
+    square = PolyProblem(degree=2, dim=1)
+    square.add_term((1, 1), CQuat(1.0, 0.0, 0.0, 0.0))
+    write_poly(square, poly)
+    check(poly)
     for args in [
-        ["solve-f", "--tensor", tensor, "--trials", "2"],
-        ["solve-p", "--poly", poly, "--trials", "2"],
+        ["solve-f", "--tensor", str(tensor), "--trials", "2"],
+        ["solve-p", "--poly", str(poly), "--trials", "2"],
         ["experiment", "--n-list", "2", "--trial-schedule", "1", "--runs", "1"],
         ["prob-check", "--n", "3", "--gamma", "0.5", "--samples", "1000"],
     ]:
-        calls.clear()
         result = runner.invoke(main, args + ["--out", str(out), "--deterministic"])
         assert result.exit_code == 0, result.output
-        assert calls == [{"encoding": "utf-8", "newline": "\n"}], args
-        assert b"\r" not in out.read_bytes()
+        check(out)
 
 
 def test_experiment_csv_bytes():

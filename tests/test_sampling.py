@@ -310,7 +310,9 @@ def test_lane_finish_does_not_spill_between_streams():
 @example(seed=2**130, t=2**32 - 1, dims=[2])
 @example(seed=2**130, t=2**32, dims=[2])
 def test_sphere_draws_match_random_source_on_any_stream(seed, t, dims):
-    assert_draws_match_reference(seed, t, t + 1, dims)
+    # two streams, since a one-stream range is drawn by RandomSource itself; the examples
+    # straddle the formula's last stream, 2**32 - 1
+    assert_draws_match_reference(seed, t, t + 2, dims)
 
 
 def test_concurrent_trial_values_match_sequential():
