@@ -1,16 +1,15 @@
 """Monte Carlo estimate of the sphere tail inequality.
 
 The tail probe estimates Prob{Re(a^T xi) >= sqrt(gamma ln n / n) * |a|} for
-xi uniform on the quaternion unit sphere. The bound curves attached to the
-probe carry a unit constant: the true constants in the lower bounds are
-non-constructive, so the curves are for shape comparison only and are never
-asserted as ground-truth inequalities.
+xi uniform on the quaternion unit sphere, drawn as 4n normals over their
+norm. The bound curves attached to the probe carry a unit constant: the true
+constants in the lower bounds are non-constructive, so the curves are for
+shape comparison only and are never asserted as ground-truth inequalities.
 
 Batches fix which stream each sample comes from: batch b holds the next
 BATCH_SIZE samples (the last batch may hold fewer) and draws them from
 RandomSource(seed, stream=b). Counts merge by addition, so results do not
-depend on how batches are scheduled. Null samples (norm below NULL_NORM) are
-redrawn from the batch's stream after its last sample, in row order.
+depend on how batches are scheduled.
 
 Blocks bound memory: a batch is drawn and counted in blocks of about
 BLOCK_BYTES of draws, which continue the stream's one sequence. Each row's
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import CQVector
-from .sampling import NULL_NORM, RandomSource
+from .sampling import RandomSource
 
 BATCH_SIZE = 1 << 16
 BLOCK_BYTES = 1 << 18
@@ -62,14 +61,12 @@ def _improved_exponent(gamma: float, delta: float) -> float:
         raise ValueError(f"delta = {delta!r} is too large: delta**2 overflows") from None
 
 
-def _block_hits(draws: np.ndarray, weights: np.ndarray, cutoff: float) -> tuple[int, int]:
-    """(hits, null rows) of one block of draws; a null row counts as no hit and is left to redraw."""
+def _block_hits(draws: np.ndarray, weights: np.ndarray, cutoff: float) -> int:
+    """Hits of one block of draws: rows whose Re(a^T xi) clears the cutoff once divided by their norm."""
     flat = draws.reshape(len(draws), -1)
     nrm = np.sqrt(np.einsum("ij,ij->i", flat, flat))
-    null = nrm < NULL_NORM
-    nrm[null] = np.nan
     re_vals = np.einsum("ij,j->i", flat, weights) / nrm
-    return int((re_vals >= cutoff).sum()), int(null.sum())
+    return int((re_vals >= cutoff).sum())
 
 
 def estimate_tail_prob(
@@ -109,14 +106,8 @@ def estimate_tail_prob(
     for stream, offset in enumerate(range(0, samples, BATCH_SIZE)):
         size = min(BATCH_SIZE, samples - offset)
         src = RandomSource(seed, stream=stream)
-        nulls = 0
         for start in range(0, size, block):
-            block_hits, block_nulls = _block_hits(src.normals((min(block, size - start), n, 4)), weights, cutoff)
-            hits += block_hits
-            nulls += block_nulls
-        while nulls:
-            redraw_hits, nulls = _block_hits(src.normals((nulls, n, 4)), weights, cutoff)
-            hits += redraw_hits
+            hits += _block_hits(src.normals((min(block, size - start), n, 4)), weights, cutoff)
     bound45 = n ** (-4.5 * gamma) / math.sqrt(math.log(n))
     return ProbeResult(
         n=n,

@@ -3,8 +3,8 @@
 Every draw is keyed by a (seed, stream) pair. Stream t is numpy's PCG64
 seeded by SeedSequence(entropy=seed, spawn_key=(t,)), and normal variates
 come from numpy's ziggurat transform of its output, so the same pair always
-reproduces the same numbers. RandomSource owns the generator of one pair;
-it serves the tail probe and is the reference for every other draw.
+reproduces the same numbers. RandomSource owns one pair's generator; a
+draw on S^(4n-1) is its next 4n normals over their norm (Muller, 1959).
 
 Randomized trials draw from one stream each, and building a SeedSequence, a
 PCG64 and a Generator per trial costs several times the draw itself.
@@ -43,12 +43,12 @@ probe stream with a multi-word seed must equal the bytes of the live struct
 behind RandomSource for that stream, which checks the seeding and the
 layout at once. While it passes, a range of two or more streams draws its
 rows of streams below 2^32 after writing their images. RandomSource draws
-every other row, bit for bit the same: a range of one stream, such as a
-winner's replay, where an image would cost more than it saves; streams
-t >= 2^32, whose spawn key is more than one uint32 word; any trial with a
-null draw; and every trial where the probe fails, as on a numpy built
-without a native 128-bit integer, whose {high, low} pcg128_t holds the two
-64-bit halves of each word the other way round. Empty dims draw nothing.
+the normals of every other row, bit for bit the same: a range of one
+stream, such as a winner's replay, where an image would cost more than it
+saves; streams t >= 2^32, whose spawn key is more than one uint32 word; and
+every trial where the probe fails, as on a numpy built without a native
+128-bit integer, whose {high, low} pcg128_t holds the two 64-bit halves of
+each word the other way round. Empty dims draw nothing.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ _POOL_SIZE = 4
 # Multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64/pcg64.h).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = (1 << 32) - 1
-NULL_NORM = 1e-300  # a draw of smaller norm is null: drawn again, never normalized
 
 
 class RandomSource:
@@ -95,14 +94,11 @@ class RandomSource:
         return self._gen.standard_normal(shape)
 
     def sphere_array(self, n: int) -> np.ndarray:
-        """Uniform draw on the quaternion unit sphere as a raw (n, 4) array."""
+        """Uniform draw on the quaternion unit sphere as a raw (n, 4) array: the next 4n normals over their norm."""
         if n < 1:
             raise ValueError("dimension must be at least 1")
-        while True:
-            data = self._gen.standard_normal((n, 4))
-            nrm = float(np.sqrt((data**2).sum()))
-            if nrm >= NULL_NORM:
-                return data / nrm
+        data = self._gen.standard_normal((n, 4))
+        return data / float(np.sqrt((data**2).sum()))
 
 
 @functools.cache
@@ -210,10 +206,10 @@ def sphere_draws(seed: int, start: int, stop: int, dims: Sequence[int]) -> list[
 
     Row r of array k is bit for bit the k-th of the draws
     RandomSource(seed, stream=start + r).sphere_array(n) for n in dims,
-    taken in order. The module docstring says which rows are drawn after
-    writing the state images of _pcg64_states over this thread's generator
-    and which through RandomSource, whose rejection loop decides every null
-    draw (norm below NULL_NORM). Empty dims return [] at once.
+    taken in order. The module docstring says which rows' normals are drawn
+    after writing the state images of _pcg64_states over this thread's
+    generator and which through RandomSource; one statement then divides
+    every row by its norm. Empty dims return [] at once.
     """
     seed, start, stop = int(seed), int(start), int(stop)
     if seed < 0 or start < 0:
@@ -227,7 +223,6 @@ def sphere_draws(seed: int, start: int, stop: int, dims: Sequence[int]) -> list[
     count = stop - start
     raw = [np.empty((count, n, 4)) for n in dims]
     fast = max(0, min(stop, 1 << 32) - start) if count > 1 and _formula_matches_numpy() else 0
-    redo = set(range(fast, count))
     if fast:
         gen, view = _thread_generator()
         # iter_unpack cuts the 32-byte images faster than a Python slice each
@@ -236,16 +231,10 @@ def sphere_draws(seed: int, start: int, stop: int, dims: Sequence[int]) -> list[
             view.raw = image
             for out in raw:
                 gen.standard_normal(out=out[row])
-        for r, n in zip(raw, dims):
-            r = r[:fast]
-            nrm = np.sqrt(np.add.reduce(np.square(r).reshape(fast, 4 * n), axis=1))
-            if nrm.min() < NULL_NORM:
-                small = nrm < NULL_NORM
-                nrm[small] = 1.0
-                redo.update(np.flatnonzero(small).tolist())
-            r /= nrm[:, None, None]
-    for row in sorted(redo):
+    for row in range(fast, count):
         src = RandomSource(seed, stream=start + row)
         for out, n in zip(raw, dims):
-            out[row] = src.sphere_array(n)
+            out[row] = src.normals((n, 4))
+    for r, n in zip(raw, dims):
+        r /= np.sqrt(np.add.reduce(np.square(r).reshape(count, 4 * n), axis=1))[:, None, None]
     return raw

@@ -19,6 +19,10 @@ computes by a second, plainer route:
 - ``unscreened_sigmas`` and ``form_trial_values``: the trial loop with an
   SVD of every block, one whole batch at a time. Checks that the blocks
   the bounds of ``solvers._trial_sigmas`` skip never change a record.
+- ``expected_ratio``: the exact mean of the paper table's best-of-k ratio
+  on the all-ones cubic. Checks the distribution of ``run_experiment``.
+- ``exact_tail``: the exact tail of one coordinate of a uniform point on
+  the unit sphere of H^n. Checks ``estimate_tail_prob``.
 
 The real embedding stacks the component vectors in the fixed order
 (x0; x1; x2; x3), and maps an m x n matrix A to the 4m x 4n real grid
@@ -137,22 +141,16 @@ def check_chi_square_tail(t: float, b, samples: int, seed: int) -> ChiSquareTail
 def whole_batch_tail_prob(n: int, gamma: float, samples: int, seed: int, a: CQVector) -> float:
     """The tail probe's empirical probability, each batch drawn and counted in one piece.
 
-    Null samples are redrawn in row order after the whole batch, until none
-    is left, and the redraws take their rows' places in the batch. Rows are
-    valued by the probe's row-local einsum products.
+    Each sample is its 4n normals divided by their norm, and rows are valued
+    by the probe's row-local einsum products.
     """
     cutoff = math.sqrt(gamma * math.log(n) / n) * a.norm()
     weights = (a.data * _RE_SIGNS).ravel()
     hits = 0
     for stream, offset in enumerate(range(0, samples, BATCH_SIZE)):
         size = min(BATCH_SIZE, samples - offset)
-        src = RandomSource(seed, stream=stream)
-        draws = src.normals((size, 4 * n))
+        draws = RandomSource(seed, stream=stream).normals((size, 4 * n))
         nrm = np.sqrt(np.einsum("ij,ij->i", draws, draws))
-        while np.any(nrm < 1e-300):
-            bad = nrm < 1e-300
-            draws[bad] = src.normals((int(bad.sum()), 4 * n))
-            nrm = np.sqrt(np.einsum("ij,ij->i", draws, draws))
         re_vals = np.einsum("ij,j->i", draws, weights) / nrm
         hits += int((re_vals >= cutoff).sum())
     return hits / samples
@@ -172,3 +170,56 @@ def form_trial_values(form: MultilinearForm, trials: int, seed: int) -> np.ndarr
     """Exact value of every trial of maximize_form, as a (trials,) array; one entry for d = 2."""
     comps = np.stack(cc_split(solvers._sorted_tensor(form)))
     return unscreened_sigmas(comps, trials if form.order > 2 else 1, seed).max(axis=1)
+
+
+def _gauss_legendre(f, lo, hi, nodes: int = 200, panels: int = 1) -> float:
+    """Composite Gauss-Legendre integral of the vectorized f over [lo, hi]."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = np.diff(edges)[:, None] / 2
+    points = (edges[:-1, None] + half) + half * x
+    return float((f(points) * half * w).sum())
+
+
+def _one_trial_tail(n: int, r: np.ndarray) -> np.ndarray:
+    """1 - F(r) for one trial on the all-ones cubic of dimension n, F as in expected_ratio.
+
+    1 - I_x(2, m) = (1 - x)^m (1 + m x) vanishes where x = min(1, r/w) = 1, so
+    the integral over w runs from max(1/2, r) to 1 and has no kink.
+    """
+    m = 2 * n - 2
+    x, wts = np.polynomial.legendre.leggauss(64)
+    lo = np.maximum(0.5, r)[..., None]
+    half = (1.0 - lo) / 2
+    w = lo + half * (x + 1)
+    q = r[..., None] / w
+    return 2 * ((1 - q) ** m * (1 + m * q) * half * wts).sum(axis=-1)
+
+
+def expected_ratio(n: int, k: int) -> float:
+    """E of the paper table's ratio at k trials on the all-ones cubic of dimension n.
+
+    A trial's blocks are s_c J with J the n x n all-ones matrix, and its
+    ratio is x = sqrt(max(R1, R2) / 2), where R1 + R2 = B ~ Beta(2, 2n - 2) and
+    R1 / B ~ U(0, 1) independently of B. So max(R1, R2) has the CDF
+    F(r) = 2 int_{1/2}^{1} I_{min(1, r/w)}(2, 2n - 2) dw, with
+    I_x(2, m) = 1 - (1 - x)^m (1 + m x), and the best of k trials has the mean
+    E = int_0^{1/sqrt 2} 1 - F(2 x^2)^k dx, split at x = 1/2, where F has a kink.
+    """
+
+    def integrand(x):
+        return 1 - (1 - _one_trial_tail(n, 2 * x * x)) ** k
+
+    return sum(_gauss_legendre(integrand, lo, hi, nodes=32, panels=64) for lo, hi in [(0, 0.5), (0.5, 0.5**0.5)])
+
+
+def exact_tail(n: int, t: float) -> float:
+    """P(u >= t) for u one coordinate of a uniform point on the unit sphere S^(4n-1).
+
+    u has the density proportional to (1 - u^2)^((4n - 3) / 2) on [-1, 1].
+    """
+
+    def density(u):
+        return (1 - u * u) ** ((4 * n - 3) / 2)
+
+    return _gauss_legendre(density, t, 1.0) / _gauss_legendre(density, -1.0, 1.0)

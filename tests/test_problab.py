@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cqpoly import CQVector, estimate_tail_prob, problab
 from cqpoly.sampling import RandomSource
-from .oracles import check_chi_square_tail, whole_batch_tail_prob
+from .oracles import check_chi_square_tail, exact_tail, whole_batch_tail_prob
 
 
 def test_tail_probability_is_positive():
@@ -53,84 +53,22 @@ def test_tail_probability_scale_invariance_in_a():
         assert (scale * a).unit().norm() == pytest.approx(1.0, abs=1e-15)
 
 
-def test_tail_probe_redraws_a_null_sample(monkeypatch):
-    normals = RandomSource.normals
-    shapes = []
-
-    def first_sample_null(self, shape):
-        draws = normals(self, shape)
-        if not shapes:
-            draws[0] = 0.0
-        shapes.append(shape)
-        return draws
-
-    monkeypatch.setattr(RandomSource, "normals", first_sample_null)
-    probe = estimate_tail_prob(3, 0.4, samples=1000, seed=6)
-    assert shapes == [(1000, 3, 4), (1, 3, 4)]
-    # the null sample is replaced by the stream's next draw, and a = e_1 reads coordinate (0, 0)
-    src = RandomSource(6, stream=0)
-    draws = normals(src, (1000, 3, 4))
-    draws[0] = normals(src, (1, 3, 4))[0]
-    re_vals = draws[:, 0, 0] / np.sqrt((draws**2).sum(axis=(1, 2)))
-    assert probe.empirical_prob == (re_vals >= probe.threshold).sum() / 1000
-
-
-def test_tail_probe_redraws_a_null_row_of_a_later_block_until_it_is_not_null(monkeypatch):
-    normals = RandomSource.normals
-    shapes = []
-
-    def second_block_and_first_redraw_null(self, shape):
-        draws = normals(self, shape)
-        if len(shapes) in (1, 3):
-            draws[0] = 0.0
-        shapes.append(shape)
-        return draws
-
-    monkeypatch.setattr(RandomSource, "normals", second_block_and_first_redraw_null)
-    probe = estimate_tail_prob(3, 0.4, samples=6000, seed=6)
-    # n = 3 takes blocks of BLOCK_BYTES // 96 rows (2,730); the null first row of the second
-    # block is redrawn after the batch, twice
-    block = problab.BLOCK_BYTES // 96
-    assert shapes == [(block, 3, 4), (block, 3, 4), (6000 - 2 * block, 3, 4), (1, 3, 4), (1, 3, 4)]
-    src = RandomSource(6, stream=0)
-    draws = normals(src, (6000, 3, 4))
-    normals(src, (1, 3, 4))
-    draws[block] = normals(src, (1, 3, 4))[0]
-    re_vals = draws[:, 0, 0] / np.sqrt((draws**2).sum(axis=(1, 2)))
-    assert probe.empirical_prob == (re_vals >= probe.threshold).sum() / 6000
-
-
-def null_rows_of_stream_0(monkeypatch, rows):
-    """Make the given rows of stream 0's sequence of draws null, wherever its blocks cut it."""
-    normals = RandomSource.normals
-    served = {}
-
-    def patched(self, shape):
-        draws = normals(self, shape)
-        first = served.get(self.stream, 0)
-        served[self.stream] = first + shape[0]
-        if self.stream == 0:
-            for row in rows:
-                if first <= row < first + shape[0]:
-                    draws[row - first] = 0.0
-        return draws
-
-    monkeypatch.setattr(RandomSource, "normals", patched)
-    return served
+@pytest.mark.parametrize("n", [3, 8, 24, 40])
+def test_tail_probe_matches_the_exact_tail(n):
+    samples = 200_000
+    probe = estimate_tail_prob(n, 0.5, samples, seed=3)
+    p = exact_tail(n, probe.threshold)
+    assert abs(probe.empirical_prob - p) <= 5 * math.sqrt(p * (1 - p) / samples)
 
 
 @pytest.mark.parametrize("n", [3, 24, 40])
 def test_tail_probe_result_does_not_depend_on_the_block_size(monkeypatch, n):
     a = CQVector(np.random.default_rng(n).standard_normal((n, 4)))
-    # row 100 is null, and so is its first redraw, the row after the batch
-    served = null_rows_of_stream_0(monkeypatch, (100, 20_000))
     reference = estimate_tail_prob(n, 0.5, 20_000, seed=3, a=a)
-    assert served == {0: 20_002}
+    assert reference.empirical_prob == whole_batch_tail_prob(n, 0.5, 20_000, 3, a)
     for rows in (1, 7, 64, 1000):
         monkeypatch.setattr(problab, "BLOCK_BYTES", rows * 32 * n)
-        served = null_rows_of_stream_0(monkeypatch, (100, 20_000))
         assert estimate_tail_prob(n, 0.5, 20_000, seed=3, a=a) == reference
-        assert served == {0: 20_002}
 
 
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)

@@ -1,4 +1,3 @@
-import ctypes
 import sys
 import threading
 
@@ -117,13 +116,23 @@ GUARD_WINDOWS = [
 
 
 def reference_draws(seed, start, stop, dims):
-    # one RandomSource per trial, its draws taken in slot order
+    # the draw rule itself: one RandomSource per trial, each slot's 4n normals in slot
+    # order, divided by their norm
     rows = [[] for _ in dims]
     for t in range(start, stop):
         src = RandomSource(seed, stream=t)
         for row, n in zip(rows, dims):
-            row.append(src.sphere_array(n))
+            d = src.normals((n, 4))
+            row.append(d / np.sqrt(np.square(d).sum()))
     return [np.stack(row) for row in rows]
+
+
+def test_sphere_array_follows_the_draw_rule():
+    for seed, t, dims in [(3, 0, [1, 4]), (2**64, 2**32, [33, 2])]:
+        src = RandomSource(seed, stream=t)
+        got = [src.sphere_array(n) for n in dims]
+        for a, b in zip(got, reference_draws(seed, t, t + 1, dims)):
+            assert np.array_equal(a, b[0])
 
 
 def assert_draws_match_reference(seed, start, stop, dims):
@@ -213,19 +222,6 @@ def test_one_stream_ranges_and_empty_dims_skip_the_state_formula(monkeypatch):
         for t in (0, 10**6, 2**32 - 1, 2**32):
             for dims in [(), [3], [3, 1]]:
                 assert_draws_match_reference(seed, t, t + 1, dims)
-
-
-class _ZeroGenerator:
-    def standard_normal(self, out):
-        out[...] = 0.0
-
-
-def test_sphere_draws_redo_null_draws_through_random_source(monkeypatch):
-    # every batched draw is zero, so every trial goes through RandomSource's rejection loop
-    bitgen = np.random.PCG64(0)
-    zeros = (_ZeroGenerator(), (ctypes.c_char * 32).from_address(sampling._state_pointer(bitgen)))
-    monkeypatch.setattr(sampling, "_thread_generator", lambda: zeros)
-    assert_draws_match_reference(8, 5, 9, [3, 1])
 
 
 def test_sphere_draws_validation():

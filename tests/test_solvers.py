@@ -32,7 +32,7 @@ from cqpoly import sampling, solvers
 from cqpoly.experiment import ExperimentConfig, run_experiment, run_seed_for
 from cqpoly.forms import _contract_leading
 from cqpoly.sampling import RandomSource
-from .oracles import form_trial_values, real_block, unscreened_sigmas
+from .oracles import expected_ratio, form_trial_values, real_block, unscreened_sigmas
 
 
 @pytest.fixture
@@ -421,6 +421,27 @@ def test_maximize_form_agrees_with_experiment_checkpoint():
         report = maximize_form(form, row.trials, seed)
         assert report.objective == row.objective
         assert form(*report.solution).re == pytest.approx(report.objective, abs=1e-9)
+
+
+def test_expected_ratio_matches_the_paper_table_closed_form():
+    assert round(expected_ratio(2, 10_000), 4) == 0.6954
+    assert round(expected_ratio(7, 10_000), 4) == 0.5247
+    for n in (2, 5, 7):
+        means = [expected_ratio(n, k) for k in (1, 10, 100, 1000, 10_000)]
+        assert all(a < b for a, b in zip(means, means[1:]))
+        assert means[-1] < 1 / math.sqrt(2)
+
+
+def test_experiment_averages_track_the_expected_ratio():
+    # the seed is fixed, so the z-scores are too (they lie in -1.1..1.6)
+    config = ExperimentConfig(n_list=(2, 5, 7), trial_schedule=(1, 10, 100, 1000), runs=20, seed=42)
+    ratios = {}
+    for row in run_experiment(config):
+        ratios.setdefault((row.n, row.trials), []).append(row.ratio)
+    for (n, k), values in ratios.items():
+        assert len(values) == 20
+        band = 4 * np.std(values, ddof=1) / math.sqrt(20)
+        assert abs(np.mean(values) - expected_ratio(n, k)) <= band, (n, k)
 
 
 def test_maximize_form_zero_tensor_is_degenerate():
