@@ -14,6 +14,10 @@ sorted nondecreasing; duplicate tuples sum into one coefficient. Every
 component must be finite: ``nan``, ``inf``, an overflowing literal such as
 ``1e999`` or an overflowing duplicate sum is a ParseError naming its line.
 
+Entry lines are read by one np.loadtxt call and checked as whole arrays.
+If that fails, a per-line reader words the ParseError or reads the tokens
+loadtxt refuses (``1_0``), so int() and float() decide what is accepted.
+
 Writers emit entries in lexicographic index order with shortest round-trip
 float representations and skip exact zeros, so parse followed by serialize
 is byte-identical on canonical files.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,28 +78,47 @@ def _keyword_line(lines, source: str, lineno: int, keyword: str, count: int) -> 
 def _read_header(text: str, source: str, magic: str, first: str, second: str, per_slot: bool):
     """Check the magic line and the two keyword lines: d, then d integers if per_slot, else one.
 
-    Returns the iterator over the remaining nonblank (lineno, line) pairs, d
+    Returns the lines after the header, the number of the first of them, d
     and the integers of the second keyword line.
     """
-    lines = ((k, line) for k, line in enumerate(map(str.strip, text.splitlines()), start=1) if line)
-    lineno, line = next(lines, (1, None))
+    lines = text.splitlines()
+    numbered = ((k, line) for k, line in enumerate(map(str.strip, lines), start=1) if line)
+    lineno, line = next(numbered, (1, None))
     if line != magic:
         message = "empty file" if line is None else f"expected header {magic!r}, got {line!r}"
         raise ParseError(source, lineno, message)
-    lineno, (d,) = _keyword_line(lines, source, lineno, first, 1)
-    return lines, d, _keyword_line(lines, source, lineno, second, d if per_slot else 1)[1]
+    lineno, (d,) = _keyword_line(numbered, source, lineno, first, 1)
+    lineno, values = _keyword_line(numbered, source, lineno, second, d if per_slot else 1)
+    return lines[lineno:], lineno + 1, d, values
 
 
-def _read_entries(lines, source: str, sizes: list[int]):
-    """Line numbers, 1-based index tuples and (count, 4) components of the entry lines.
+def _bulk_entries(text: str, body: list[str], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entry lines by one loadtxt call: index tuples (count, d), range unchecked, and finite components (count, 4)."""
+    if not text.isascii():  # loadtxt reads some non-ASCII letters as digits
+        raise ValueError("text is not ASCII")
+    if not any(map(str.strip, body)):  # loadtxt warns on input without data
+        return np.empty((0, d), np.intp), np.empty((0, 4))
+    dtype = [("i", np.intp, (d,)), ("v", np.float64, (4,))]
+    with warnings.catch_warnings():  # some numpy from 1.23 on read '2.7' as 2 with only this warning
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)  # loadtxt then raises ValueError
+        entries = np.loadtxt(body, dtype=dtype, comments=None, ndmin=1)
+    if not np.isfinite(entries["v"]).all():
+        raise ValueError("a component is not finite")
+    return entries["i"], entries["v"]
+
+
+def _read_entries(body: list[str], start: int, source: str, sizes: list[int]):
+    """Line numbers, 1-based index tuples and (count, 4) components of the nonblank body lines, numbered from start.
 
     Index k of a line must lie in 1..sizes[k]. The components must be
     finite, which is checked once, after the last line.
     """
     d = len(sizes)
     linenos, idxs, rows = [], [], []
-    for lineno, line in lines:
+    for lineno, line in enumerate(body, start=start):
         tokens = line.split()
+        if not tokens:
+            continue
         if len(tokens) != d + 4:
             message = f"expected {d} indices and 4 components, got {len(tokens)} tokens"
             raise ParseError(source, lineno, message)
@@ -121,16 +145,21 @@ def _dumps(header: list[str], entries) -> str:
 
 
 def loads_tensor(text: str, source: str = "<string>") -> CQTensor:
-    lines, _, dims = _read_header(text, source, TENSOR_MAGIC, "order", "dims", per_slot=True)
-    linenos, idxs, values = _read_entries(lines, source, dims)
-    seen: set[tuple[int, ...]] = set()
-    for lineno, idx in zip(linenos, idxs):
-        if idx in seen:
-            raise ParseError(source, lineno, f"duplicate entry for indices {' '.join(map(str, idx))}")
-        seen.add(idx)
+    body, start, _, dims = _read_header(text, source, TENSOR_MAGIC, "order", "dims", per_slot=True)
+    try:  # a ValueError here, as ravel_multi_index's on an index out of range, has the lines read again
+        idxs, values = _bulk_entries(text, body, len(dims))
+        flat = np.ravel_multi_index(tuple(idxs.T - 1), dims)
+        if (np.diff(np.sort(flat)) == 0).any():
+            raise ValueError("repeated index tuple")
+    except ValueError:
+        linenos, idxs, values = _read_entries(body, start, source, dims)
+        seen: set[tuple[int, ...]] = set()
+        for lineno, idx in zip(linenos, idxs):
+            if idx in seen:
+                raise ParseError(source, lineno, f"duplicate entry for indices {' '.join(map(str, idx))}")
+            seen.add(idx)
     data = np.zeros(tuple(dims) + (4,))
-    if idxs:
-        data[tuple(np.array(idxs).T - 1)] = values
+    data[tuple(np.asarray(idxs, dtype=np.intp).reshape(-1, len(dims)).T - 1)] = values
     return CQTensor(data)
 
 
@@ -150,16 +179,24 @@ def write_tensor(tensor: CQTensor, path) -> None:
 
 
 def loads_poly(text: str, source: str = "<string>") -> PolyProblem:
-    lines, degree, (dim,) = _read_header(text, source, POLY_MAGIC, "degree", "dim", per_slot=False)
-    linenos, idxs, values = _read_entries(lines, source, [dim] * degree)
-    poly = PolyProblem(degree=degree, dim=dim)
-    for lineno, idx, comps in zip(linenos, idxs, values.tolist()):
-        if any(a > b for a, b in zip(idx, idx[1:])):
-            raise ParseError(source, lineno, f"index tuple must be sorted nondecreasing: {list(idx)}")
-        try:
-            poly.add_term(idx, CQuat(*comps))
-        except ValueError as exc:
-            raise ParseError(source, lineno, str(exc)) from None
+    body, start, degree, (dim,) = _read_header(text, source, POLY_MAGIC, "degree", "dim", per_slot=False)
+    try:  # a ValueError here, as add_term's on an index out of range, has the lines read again
+        idxs, values = _bulk_entries(text, body, degree)
+        if (idxs[:, 1:] < idxs[:, :-1]).any():
+            raise ValueError("unsorted index tuple")
+        poly = PolyProblem(degree=degree, dim=dim)
+        for key, comps in zip(idxs.tolist(), values.tolist()):
+            poly.add_term(key, CQuat(*comps))
+    except ValueError:
+        linenos, idxs, values = _read_entries(body, start, source, [dim] * degree)
+        poly = PolyProblem(degree=degree, dim=dim)
+        for lineno, idx, comps in zip(linenos, idxs, values.tolist()):
+            if any(a > b for a, b in zip(idx, idx[1:])):
+                raise ParseError(source, lineno, f"index tuple must be sorted nondecreasing: {list(idx)}")
+            try:
+                poly.add_term(idx, CQuat(*comps))
+            except ValueError as exc:
+                raise ParseError(source, lineno, str(exc)) from None
     return poly
 
 

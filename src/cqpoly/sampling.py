@@ -93,13 +93,6 @@ class RandomSource:
         """Raw i.i.d. standard normal draws."""
         return self._gen.standard_normal(shape)
 
-    def sphere_array(self, n: int) -> np.ndarray:
-        """Uniform draw on the quaternion unit sphere as a raw (n, 4) array: the next 4n normals over their norm."""
-        if n < 1:
-            raise ValueError("dimension must be at least 1")
-        data = self._gen.standard_normal((n, 4))
-        return data / float(np.sqrt((data**2).sum()))
-
 
 @functools.cache
 def _hashes(init: int, mult: int, skip: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -204,12 +197,12 @@ def _thread_generator() -> tuple[np.random.Generator, ctypes.Array]:
 def sphere_draws(seed: int, start: int, stop: int, dims: Sequence[int]) -> list[np.ndarray]:
     """Unit sphere draws of trials start..stop-1: one (stop - start, n, 4) array per n in dims.
 
-    Row r of array k is bit for bit the k-th of the draws
-    RandomSource(seed, stream=start + r).sphere_array(n) for n in dims,
-    taken in order. The module docstring says which rows' normals are drawn
-    after writing the state images of _pcg64_states over this thread's
-    generator and which through RandomSource; one statement then divides
-    every row by its norm. Empty dims return [] at once.
+    Row r of array k is stream start + r's next 4 dims[k] normals over
+    their norm, the slots drawn in order from the stream's start. The
+    module docstring says which rows' normals are drawn after writing the
+    state images of _pcg64_states over this thread's generator and which
+    through RandomSource; one statement then divides every row by its
+    norm. Empty dims return [] at once.
     """
     seed, start, stop = int(seed), int(start), int(stop)
     if seed < 0 or start < 0:

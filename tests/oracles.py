@@ -11,6 +11,8 @@ computes by a second, plainer route:
 - ``sign_average_identity``: the sign-average identity of He, Li & Zhang
   (Math. Program. 2010). Checks that ``symmetrize`` returns a
   super-symmetric form.
+- ``reference_draws``: the sphere draw rule itself, one RandomSource per
+  trial. Checks ``sphere_draws`` and the solvers' replayed winner draws.
 - ``check_chi_square_tail``: a Monte Carlo check of the weighted chi-square
   tail lemma behind the tail probe, drawn in the probe's batches.
 - ``whole_batch_tail_prob``: the tail probe drawn and counted one whole
@@ -136,6 +138,21 @@ def check_chi_square_tail(t: float, b, samples: int, seed: int) -> ChiSquareTail
     bound = math.exp(-t)
     slack = 4 * math.sqrt(bound / samples)
     return ChiSquareTailCheck(empirical=hits / samples, bound=bound, slack=slack)
+
+
+def reference_draws(seed: int, start: int, stop: int, dims) -> list[np.ndarray]:
+    """One (stop - start, n, 4) array per n in dims, by the draw rule itself.
+
+    Row t of array k is RandomSource(seed, stream=start + t)'s k-th draw
+    when the slots are drawn in order: its next 4n normals over their norm.
+    """
+    rows = [[] for _ in dims]
+    for t in range(start, stop):
+        src = RandomSource(seed, stream=t)
+        for row, n in zip(rows, dims):
+            d = src.normals((n, 4))
+            row.append(d / np.sqrt(np.square(d).sum()))
+    return [np.stack(row) for row in rows]
 
 
 def whole_batch_tail_prob(n: int, gamma: float, samples: int, seed: int, a: CQVector) -> float:

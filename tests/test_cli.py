@@ -362,14 +362,16 @@ def test_failed_sweep_removes_only_an_out_file_it_created(tmp_path, runner):
 @pytest.mark.parametrize("command", ["solve-f", "rank-one", "solve-p"])
 def test_oversized_input_is_a_one_line_error(tmp_path, runner, command):
     if command == "solve-p":
-        option, text = "--poly", "CQP1\ndegree 3\ndim 100000\n1 1 1 1.0 0.0 0.0 0.0\n"
+        option, texts = "--poly", ["CQP1\ndegree 3\ndim 100000\n1 1 1 1.0 0.0 0.0 0.0\n"]
     else:
-        option, text = "--tensor", "CQT1\norder 3\ndims 100000 100000 100000\n"
-    path = write(tmp_path / "huge.txt", text)
-    result = runner.invoke(main, [command, option, path, "--trials", "2"])
-    assert result.exit_code == 1
-    assert result.output.startswith("Error:") and "allocate" in result.output
-    assert len(result.output.splitlines()) == 1
+        header = "CQT1\norder 3\ndims 100000 100000 100000\n"
+        option, texts = "--tensor", [header, header + "100000 100000 100000 1.0 0.0 0.0 0.0\n"]
+    for text in texts:
+        path = write(tmp_path / "huge.txt", text)
+        result = runner.invoke(main, [command, option, path, "--trials", "2"])
+        assert result.exit_code == 1
+        assert result.output.startswith("Error:") and "allocate" in result.output
+        assert len(result.output.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["solve-f", "solve-p"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cqpoly import CQTensor, CQVector, MultilinearForm, RandomSource
 from cqpoly import sampling
 from cqpoly.sampling import sphere_draws
-from .oracles import form_trial_values
+from .oracles import form_trial_values, reference_draws
 
 
 def test_same_seed_and_stream_reproduce():
@@ -35,17 +35,13 @@ def test_interleaving_does_not_couple_streams():
 
 
 def test_sphere_norm_is_one():
-    src = RandomSource(42)
-    for _ in range(200):
-        v = CQVector(src.sphere_array(3))
-        assert abs(v.norm() - 1.0) <= 1e-12
+    for row in sphere_draws(42, 0, 200, [3])[0]:
+        assert abs(CQVector(row).norm() - 1.0) <= 1e-12
 
 
 def test_sphere_single_coordinate_has_unit_magnitude():
-    src = RandomSource(42)
-    for _ in range(50):
-        v = CQVector(src.sphere_array(1))
-        assert abs(v[0]) == pytest.approx(1.0, abs=1e-12)
+    for row in sphere_draws(42, 0, 50, [1])[0]:
+        assert abs(CQVector(row)[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_qnormal_squared_norm_moment():
@@ -83,26 +79,14 @@ def test_sphere_projection_is_centered():
 def test_validation():
     with pytest.raises(ValueError):
         RandomSource(-1)
-    src = RandomSource(1)
     with pytest.raises(ValueError):
-        src.sphere_array(0)
+        RandomSource(1, stream=-1)
 
 
 def test_vector_type():
-    raw = RandomSource(0).sphere_array(3)
+    raw = sphere_draws(0, 0, 2, [3])[0][1]
     assert type(raw) is np.ndarray and raw.dtype == np.float64
     assert len(CQVector(raw)) == 3
-
-
-def test_sphere_vector_wraps_sphere_array():
-    # a CQVector of a draw keeps its components, and equal sources stay in step
-    src_a, src_v = RandomSource(9, stream=4), RandomSource(9, stream=4)
-    for n in (1, 3, 7):
-        raw = src_a.sphere_array(n)
-        assert raw.shape == (n, 4)
-        assert np.array_equal(CQVector(src_v.sphere_array(n)).data, raw)
-    with pytest.raises(ValueError):
-        src_a.sphere_array(0)
 
 
 GUARD_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128, 2**160 + 7]
@@ -113,26 +97,6 @@ GUARD_DIMS = [1, 2, 7, 33]
 GUARD_WINDOWS = [
     (0, 50), (10**6, 10**6 + 1), (10**6, 10**6 + 2), (2**32 - 2, 2**32 + 3), (2**32, 2**32 + 2),
 ]
-
-
-def reference_draws(seed, start, stop, dims):
-    # the draw rule itself: one RandomSource per trial, each slot's 4n normals in slot
-    # order, divided by their norm
-    rows = [[] for _ in dims]
-    for t in range(start, stop):
-        src = RandomSource(seed, stream=t)
-        for row, n in zip(rows, dims):
-            d = src.normals((n, 4))
-            row.append(d / np.sqrt(np.square(d).sum()))
-    return [np.stack(row) for row in rows]
-
-
-def test_sphere_array_follows_the_draw_rule():
-    for seed, t, dims in [(3, 0, [1, 4]), (2**64, 2**32, [33, 2])]:
-        src = RandomSource(seed, stream=t)
-        got = [src.sphere_array(n) for n in dims]
-        for a, b in zip(got, reference_draws(seed, t, t + 1, dims)):
-            assert np.array_equal(a, b[0])
 
 
 def assert_draws_match_reference(seed, start, stop, dims):

@@ -32,7 +32,7 @@ from cqpoly import sampling, solvers
 from cqpoly.experiment import ExperimentConfig, run_experiment, run_seed_for
 from cqpoly.forms import _contract_leading
 from cqpoly.sampling import RandomSource
-from .oracles import expected_ratio, form_trial_values, real_block, unscreened_sigmas
+from .oracles import expected_ratio, form_trial_values, real_block, reference_draws, unscreened_sigmas
 
 
 @pytest.fixture
@@ -98,10 +98,8 @@ def test_bilinear_matches_svd_oracle(kind, m, n, data_seed, scale):
 def test_bilinear_dominates_random_feasible_pairs(rng):
     A = rand_matrix(rng, 3, 2)
     sol = solve_bilinear(A)
-    src = RandomSource(11)
-    for _ in range(200):
-        u, v = CQVector(src.sphere_array(3)), CQVector(src.sphere_array(2))
-        assert sol.value >= re_bilinear(u, A, v) - 1e-9
+    for u, v in zip(*reference_draws(11, 0, 200, [3, 2])):
+        assert sol.value >= re_bilinear(CQVector(u), A, CQVector(v)) - 1e-9
 
 
 def test_bilinear_survives_start_orthogonal_to_top_space():
@@ -166,10 +164,8 @@ def test_maximize_form_d2_is_exact_and_trial_free():
 def test_maximize_form_d2_dominates_feasible_pairs(rng):
     form = MultilinearForm(CQTensor(rng.uniform(-1, 1, size=(3, 3, 4))))
     report = maximize_form(form, 1, seed=0)
-    src = RandomSource(23)
-    for _ in range(1000):
-        u, v = CQVector(src.sphere_array(3)), CQVector(src.sphere_array(3))
-        assert report.objective >= form(u, v).re - 1e-9
+    for u, v in zip(*reference_draws(23, 0, 1000, [3, 3])):
+        assert report.objective >= form(CQVector(u), CQVector(v)).re - 1e-9
 
 
 def test_maximize_form_benchmark_window():
@@ -214,9 +210,9 @@ def test_maximize_form_slot_permutation_restores_order(rng):
             assert [len(v) for v in report.solution] == list(dims)
             assert form(*report.solution).re == pytest.approx(report.objective, abs=1e-9)
             # the winner's draws, replayed in sorted slot order, sit in their own slots
-            src = RandomSource(seed, stream=report.best_trial)
-            for slot in sampled:
-                assert report.solution[slot].data.tobytes() == src.sphere_array(dims[slot]).tobytes()
+            t = report.best_trial
+            for slot, draw in zip(sampled, reference_draws(seed, t, t + 1, [dims[s] for s in sampled])):
+                assert report.solution[slot].data.tobytes() == draw[0].tobytes()
 
 
 def per_trial_values(form, trials, seed):
@@ -226,8 +222,7 @@ def per_trial_values(form, trials, seed):
     sorted_data = np.transpose(form.tensor.data, perm + [d])
     values = []
     for t in range(trials):
-        src = RandomSource(seed, stream=t)
-        xis = [CQVector(src.sphere_array(form.dims[s])) for s in perm[: d - 2]]
+        xis = [CQVector(x[0]) for x in reference_draws(seed, t, t + 1, [form.dims[s] for s in perm[: d - 2]])]
         values.append(solve_bilinear(CQMatrix(_contract_leading(sorted_data, xis))).value)
     return np.array(values)
 
@@ -461,8 +456,7 @@ def per_trial_starts(tensor, trials, seed):
     sampled = [int(s) for s in np.argsort(tensor.dims, kind="stable")[: d - 2]]
     best = [(-1.0, 0), (-1.0, 0)]
     for t in range(trials):
-        src = RandomSource(seed, stream=t)
-        draws = [cc_split(src.sphere_array(tensor.dims[s])) for s in sampled]
+        draws = [cc_split(x[0]) for x in reference_draws(seed, t, t + 1, [tensor.dims[s] for s in sampled])]
         for c in (0, 1):
             M = np.moveaxis(comps[c], sampled, list(range(d - 2)))
             for draw in draws:
@@ -737,9 +731,8 @@ def test_no_winner_replay_reaches_the_state_formula(monkeypatch):
         # each component's start in a sampled slot is its normalized C+C part of the replayed draw
         sampled = [int(s) for s in np.argsort(shape, kind="stable")[:-2]]
         for c, (t, xs) in enumerate(solvers._randomized_starts(cc_split(tensor.data), 30, seed=1)[1]):
-            src = RandomSource(1, stream=t)
-            for slot in sampled:
-                z = cc_split(src.sphere_array(shape[slot]))[c]
+            for slot, draw in zip(sampled, reference_draws(1, t, t + 1, [shape[s] for s in sampled])):
+                z = cc_split(draw[0])[c]
                 assert xs[slot].tobytes() == (z / np.linalg.norm(z, axis=-1)).tobytes()
 
 
