@@ -6,9 +6,9 @@ coefficient map on sorted index tuples. Symmetrization spreads each
 coefficient uniformly over the distinct permutations of its tuple, which
 makes the polynomial equal to the form evaluated on a repeated argument.
 
-Polynomials are evaluated on arrays in the order of CQuat arithmetic, so
-the bits are the same: each term is the coefficient times its entries in
-index order, and the terms are summed in insertion order from +0.0.
+Polynomials are evaluated on arrays in one fixed order: each term is the
+qprod of the coefficient and its entries in index order, and the terms are
+summed in insertion order from +0.0.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ class PolyProblem:
         return np.add.reduce(terms, axis=-2, initial=0.0)
 
     def __call__(self, x: CQVector) -> CQuat:
-        """Direct monomial evaluation, bit for bit the sum of the terms in CQuat arithmetic."""
+        """H(x): the qprod of each coefficient and its entries in index order, summed in insertion order from +0.0."""
         if len(x) != self.dim:
             raise ValueError(f"expected a vector of length {self.dim}, got {len(x)}")
         return CQuat(*self._values(x.data))

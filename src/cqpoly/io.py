@@ -169,9 +169,18 @@ def dumps_tensor(tensor: CQTensor) -> str:
     return _dumps(header, zip(indices, tensor.data.reshape(-1, 4).tolist()))
 
 
+def _read_text(path: Path) -> str:
+    """The file's text; a byte that is not UTF-8 is a ParseError naming its line as the parser numbers it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:  # read() decodes the whole file at once, so err.object is all of it
+        lineno = len((err.object[: err.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(str(path), lineno, f"not UTF-8: byte {err.object[err.start]:#04x} ({err.reason})") from None
+
+
 def read_tensor(path) -> CQTensor:
     path = Path(path)
-    return loads_tensor(path.read_text(encoding="utf-8"), source=str(path))
+    return loads_tensor(_read_text(path), source=str(path))
 
 
 def write_tensor(tensor: CQTensor, path) -> None:
@@ -207,7 +216,7 @@ def dumps_poly(poly: PolyProblem) -> str:
 
 def read_poly(path) -> PolyProblem:
     path = Path(path)
-    return loads_poly(path.read_text(encoding="utf-8"), source=str(path))
+    return loads_poly(_read_text(path), source=str(path))
 
 
 def write_poly(poly: PolyProblem, path) -> None:

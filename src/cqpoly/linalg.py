@@ -1,5 +1,14 @@
 """Vectors, matrices and dense tensors over commutative quaternions.
 
+A value q = w + x*i + y*j + z*k multiplies under the rules
+
+    i*i = k*k = -1,   j*j = +1,
+    i*j = j*i = k,    j*k = k*j = i,    k*i = i*k = -j,
+
+computed by :func:`qprod`. Multiplication is commutative and associative,
+and the ring has zero divisors such as (1+j)*(1-j) = 0, so the magnitude is
+not multiplicative and no division is provided.
+
 Storage convention: every container wraps a read-only float64 ndarray whose
 last axis has length 4 and holds the (1, i, j, k) components. A vector is
 (n, 4), a matrix (m, n, 4), an order-d tensor (n1, ..., nd, 4).
@@ -25,7 +34,7 @@ import numpy as np
 
 from .core import CQuat
 
-# norm(), unit() and best_rank_one scale an array whose largest entry lies outside
+# norm() and best_rank_one scale an array whose largest entry lies outside
 # 2^(+-SAFE_EXPONENT) by an exact power of two, so that no square overflows or underflows.
 SAFE_EXPONENT = 400
 
@@ -124,13 +133,6 @@ class CQVector(_Container):
 
     def quats(self) -> list[CQuat]:
         return [CQuat(*row) for row in self.data]
-
-    def unit(self) -> "CQVector":
-        """This vector over its norm, both taken of data / 2^e for e = scale_exponent(data)."""
-        if not self.data.any():
-            raise ValueError("cannot normalize a zero vector")
-        data = np.ldexp(self.data, -scale_exponent(self.data))
-        return CQVector(data / np.sqrt((data**2).sum()))
 
     def __add__(self, other):
         if isinstance(other, CQVector):

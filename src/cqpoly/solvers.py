@@ -305,9 +305,11 @@ def maximize_poly(poly: PolyProblem, trials: int, seed: int) -> SolveReport:
     each sign vector s (for even degree only those with positive product)
     gives the candidate sum_k s_k x^k normalized to the unit sphere, and the
     candidate with the largest Re H is kept. For odd degree the sign vectors
-    come in antipodal pairs, so both normalizations +-u compete. If every
-    combination vanishes, the best relaxation factor is returned and the
-    report is flagged degenerate. All candidates are valued in one pass.
+    come in antipodal pairs, so both normalizations +-u compete. All
+    candidates are valued in one pass. Some combination never vanishes: for
+    d >= 3 the cross terms s_k s_l cancel over the sign set, so the mean of
+    |sum_k s_k x^k|^2 over it is d; for d = 2 the symmetric relaxation's
+    solve_bilinear pair has x + y = sqrt(2) t.
     """
     d, n = poly.degree, poly.dim
     if d < 2:
@@ -329,8 +331,7 @@ def maximize_poly(poly: PolyProblem, trials: int, seed: int) -> SolveReport:
     combos = np.add.reduce(signs[:, :, None, None] * factors, axis=1, initial=0.0)
     norms = np.sqrt((combos**2).sum(axis=(1, 2)))
     keep = norms >= DEGENERATE_NORM
-    degenerate = not keep.any()
-    candidates = factors if degenerate else combos[keep] / norms[keep, None, None]
+    candidates = combos[keep] / norms[keep, None, None]
     values = poly._values(candidates)[:, 0]
     best = int(np.argmax(values))
     return SolveReport(
@@ -339,7 +340,7 @@ def maximize_poly(poly: PolyProblem, trials: int, seed: int) -> SolveReport:
         trials=relaxed.trials,
         best_trial=relaxed.best_trial,
         seed=seed,
-        degenerate=degenerate or relaxed.degenerate,
+        degenerate=relaxed.degenerate,
         relaxation=relaxed,
     )
 

@@ -3,6 +3,9 @@
 Nothing in cqpoly calls these. Each one reaches a quantity the package
 computes by a second, plainer route:
 
+- ``qmul``: the product of two quaternions written out from the
+  multiplication rules on component tuples. Checks ``linalg.qprod`` and
+  is the scalar reference of polynomial evaluation.
 - ``real_block`` and ``vec_real``: the 4x4 real embedding of the bilinear
   form. The top singular value of ``real_block(A)`` is the maximum that
   ``solve_bilinear`` finds through its C+C SVD.
@@ -48,6 +51,18 @@ import numpy as np
 from cqpoly import CQMatrix, CQuat, CQVector, MultilinearForm, PolyProblem, cc_split, solvers
 from cqpoly.problab import _RE_SIGNS, BATCH_SIZE
 from cqpoly.sampling import RandomSource, sphere_draws
+
+
+def qmul(p, q) -> tuple[float, float, float, float]:
+    """The product p*q of two (w, x, y, z) component tuples, by i*i = k*k = -1, j*j = 1, ij = k, jk = i, ki = -j."""
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    return (
+        p0 * q0 - p1 * q1 + p2 * q2 - p3 * q3,
+        p0 * q1 + p1 * q0 + p2 * q3 + p3 * q2,
+        p0 * q2 + p2 * q0 - p1 * q3 - p3 * q1,
+        p0 * q3 + p3 * q0 + p1 * q2 + p2 * q1,
+    )
 
 
 def real_block(A: CQMatrix) -> np.ndarray:

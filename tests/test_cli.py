@@ -387,6 +387,21 @@ def test_non_finite_input_names_its_line(tmp_path, runner, command):
     assert "CQTensor" not in result.output
 
 
+@pytest.mark.parametrize("command", ["solve-f", "rank-one", "solve-p"])
+def test_non_utf8_input_names_its_line(tmp_path, runner, command):
+    if command == "solve-p":
+        option, header = "--poly", b"CQP1\ndegree 2\ndim 2\n"
+    else:
+        option, header = "--tensor", b"CQT1\norder 2\ndims 2 2\n"
+    path = tmp_path / "latin1.txt"
+    # the byte inside line 4, and first on it
+    for entry in (b"1 1 \xff 0 0 0\n", b"\xff1 1 0 0 0 0\n"):
+        path.write_bytes(header + entry)
+        result = runner.invoke(main, [command, option, str(path)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {path}:4: not UTF-8: byte 0xff (invalid start byte)\n"
+
+
 def test_overflowing_duplicate_sum_names_its_line(tmp_path, runner):
     path = write(tmp_path / "dup.cqp", "CQP1\ndegree 2\ndim 2\n1 2 1e308 0 0 0\n1 2 1e308 0 0 0\n")
     result = runner.invoke(main, ["solve-p", "--poly", path])

@@ -1,21 +1,25 @@
-"""The array evaluator of PolyProblem against the scalar CQuat loop it replaced.
+"""The array evaluator of PolyProblem against a scalar loop of oracles.qmul.
 
-The reference below sums the terms in insertion order, each as the
-coefficient times its entries in index order, in CQuat arithmetic. The
-array evaluator performs the same floating-point operations in the same
+The reference below sums the terms in insertion order from +0.0, each as
+the oracles.qmul product of the coefficient and its entries in index order.
+The array evaluator performs the same floating-point operations in the same
 order, so the two must agree bit for bit, and so must maximize_poly's
 objective and the value of its solution.
 """
 
 import itertools
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cqpoly import CQuat, CQVector, PolyProblem, maximize_poly
 from cqpoly import solvers
+
+from .oracles import qmul
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -24,14 +28,14 @@ coefficients = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]), st.floats(-2.0
 
 
 def reference_value(poly, x):
-    """H(x) by the scalar CQuat loop."""
-    entries = x.quats()
+    """H(x) by the scalar loop of oracles.qmul."""
+    entries = x.data.tolist()
     total = CQuat()
     for idx, coeff in poly.coeffs.items():
-        term = coeff
+        term = coeff.components()
         for i in idx:
-            term = term * entries[i - 1]
-        total = total + term
+            term = qmul(term, entries[i - 1])
+        total = total + CQuat(*term)
     return total
 
 
@@ -72,15 +76,19 @@ def test_values_of_a_stack_are_single_calls(data):
     assert bits(poly._values(xs)) == bits(np.reshape(singles, (len(xs), 4)))
 
 
+def sign_combinations(poly, factors):
+    """Every sign combination sum_k s_k x^k of the factors that maximize_poly considers, as (count, n, 4)."""
+    d = poly.degree
+    sets = [s for s in itertools.product((1.0, -1.0), repeat=d) if d % 2 or np.prod(s) > 0]
+    return np.array([sum(s * f.data for s, f in zip(signs, factors)) for signs in sets])
+
+
 def normalized_candidates(poly, factors):
     """Every unit sign combination of the factors that maximize_poly considers."""
-    d = poly.degree
-    for signs in itertools.product((1.0, -1.0), repeat=d):
-        if d % 2 == 0 and np.prod(signs) < 0:
-            continue
-        combo = CQVector(sum(s * f.data for s, f in zip(signs, factors)))
-        if combo.norm() >= solvers.DEGENERATE_NORM:
-            yield combo.unit()
+    for combo in sign_combinations(poly, factors):
+        norm = np.sqrt((combo**2).sum())
+        if norm >= solvers.DEGENERATE_NORM:
+            yield CQVector(combo / norm)
 
 
 @PROPERTY
@@ -94,15 +102,15 @@ def test_maximize_poly_objective_is_the_best_reference_value(poly, seed):
             assert report.objective >= reference_value(poly, candidate).re
 
 
-def test_vanishing_combinations_fall_back_to_the_best_factor(monkeypatch):
-    poly = PolyProblem(2, 2)
-    poly.add_term((1, 2), CQuat(1.0, 0.5))
-    poly.add_term((2, 2), CQuat(-1.0))
-    x = CQVector([[0.6, 0.0, 0.0, 0.0], [0.0, 0.8, 0.0, 0.0]])
-    relaxed = solvers.SolveReport(solution=[x, -x], objective=1.0, trials=1, best_trial=0, seed=0)
-    monkeypatch.setattr(solvers, "maximize_form", lambda form, trials, seed: relaxed)
-    # the even-degree combinations x + (-x) and -x + x both vanish
-    report = maximize_poly(poly, trials=1, seed=0)
-    assert report.degenerate
-    assert np.array_equal(report.solution[0].data, x.data)
-    assert report.objective == reference_value(poly, x).re
+@PROPERTY
+@given(poly=polys(min_degree=2), seed=st.integers(0, 2**16), trials=st.integers(1, 19))
+def test_some_sign_combination_never_vanishes(poly, seed, trials):
+    # so maximize_poly always has a candidate: its relaxation factors are unit vectors, and for
+    # d >= 3 the cross terms s_k s_l cancel over the sign set; for d = 2 the pair is x + y = sqrt(2) t
+    report = maximize_poly(poly, trials=trials, seed=seed)
+    if report.relaxation is None:  # the zero polynomial is solved before any relaxation
+        return
+    norms = np.sqrt((sign_combinations(poly, report.relaxation.solution) ** 2).sum(axis=(1, 2)))
+    assert norms.max() >= math.sqrt(2) - 1e-12
+    if poly.degree >= 3:
+        assert np.mean(norms**2) == pytest.approx(poly.degree, abs=1e-9)

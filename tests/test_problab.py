@@ -49,8 +49,6 @@ def test_tail_probability_scale_invariance_in_a():
     for scale in (1e-170, 1e200):
         p2 = estimate_tail_prob(3, 0.4, samples=samples, seed=4, a=scale * a)
         assert abs(p1.empirical_prob - p2.empirical_prob) <= band
-    for scale in (2.0**600, 2.0**-600, 1e-170, 1e200):
-        assert (scale * a).unit().norm() == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [3, 8, 24, 40])
