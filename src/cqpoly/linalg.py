@@ -11,7 +11,8 @@ not multiplicative and no division is provided.
 
 Storage convention: every container wraps a read-only float64 ndarray whose
 last axis has length 4 and holds the (1, i, j, k) components. A vector is
-(n, 4), a matrix (m, n, 4), an order-d tensor (n1, ..., nd, 4).
+(n, 4), a matrix (m, n, 4), an order-d tensor (n1, ..., nd, 4). Containers
+hold storage only: arithmetic and indexing act on ``.data`` with numpy.
 
 The solvers work in C+C coordinates. The idempotents
 e1 = (1 + j)/2 and e2 = (1 - j)/2 split q = w + x i + y j + z k as
@@ -128,31 +129,8 @@ class CQVector(_Container):
     def __len__(self) -> int:
         return len(self.data)
 
-    def __getitem__(self, i: int) -> CQuat:
-        return CQuat(*self.data[i])
-
     def quats(self) -> list[CQuat]:
         return [CQuat(*row) for row in self.data]
-
-    def __add__(self, other):
-        if isinstance(other, CQVector):
-            return CQVector(self.data + other.data)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, CQVector):
-            return CQVector(self.data - other.data)
-        return NotImplemented
-
-    def __neg__(self) -> "CQVector":
-        return CQVector(-self.data)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return CQVector(self.data * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"CQVector({[str(q) for q in self.quats()]})"
@@ -170,10 +148,6 @@ class CQMatrix(_Container):
     def shape(self) -> tuple[int, int]:
         return self.data.shape[0], self.data.shape[1]
 
-    def __getitem__(self, key: tuple[int, int]) -> CQuat:
-        i, j = key
-        return CQuat(*self.data[i, j])
-
     def __repr__(self) -> str:
         m, n = self.shape
         return f"CQMatrix(shape=({m}, {n}))"
@@ -187,10 +161,6 @@ class CQTensor(_Container):
     def __init__(self, data):
         self.data = _freeze(data, None, "CQTensor")
 
-    @classmethod
-    def zeros(cls, dims: Sequence[int]) -> "CQTensor":
-        return cls(np.zeros(tuple(dims) + (4,)))
-
     @property
     def order(self) -> int:
         return self.data.ndim - 1
@@ -198,13 +168,6 @@ class CQTensor(_Container):
     @property
     def dims(self) -> tuple[int, ...]:
         return self.data.shape[:-1]
-
-    def __getitem__(self, idx) -> CQuat:
-        if isinstance(idx, int):
-            idx = (idx,)
-        if len(idx) != self.order:
-            raise ValueError(f"expected {self.order} indices, got {len(idx)}")
-        return CQuat(*self.data[tuple(idx)])
 
     def __repr__(self) -> str:
         return f"CQTensor(dims={self.dims})"

@@ -24,7 +24,9 @@ singular vectors; that is the call an SVD of every block would make on
 the same block, so the running maximum and its first maximizing trial
 are bit for bit those of solving every trial. Only the winning trial t is
 then redrawn, as the one-stream range sphere_draws(seed, t, t + 1, ...),
-contracted in quaternion arithmetic and solved in full by solve_bilinear.
+and contracted by the same fixed-shape arithmetic, so its blocks are bit
+for bit the ones the batch valued; one routine, _top_pairs, gives them
+their top singular pairs, for forms, polynomials and rank-one alike.
 
 Slots are processed in nondecreasing dimension order: the d-2 smallest
 are sampled on their spheres and the two largest are solved exactly, so a
@@ -48,7 +50,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .forms import MultilinearForm, PolyProblem, _contract_leading, symmetrize
+from .forms import MultilinearForm, PolyProblem, symmetrize
 from .linalg import CQMatrix, CQTensor, CQVector, cc_join, cc_split, outer_product, scale_exponent
 from .sampling import sphere_draws
 
@@ -67,16 +69,49 @@ class BilinearSolution(NamedTuple):
     degenerate: bool = False
 
 
+def _top_pairs(blocks: np.ndarray, takagi: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sigma_1 and a unit pair (x_c, y_c) with Re(x_c^T A_c y_c) = sigma_1 of each block A_c of (2, m, n).
+
+    The pair is LAPACK's conjugate top singular pair, or with takagi, for
+    square blocks the caller knows to be symmetric, solve_bilinear's Takagi
+    pair. np.linalg.eigh reads only the lower triangle, so a block that is
+    symmetric only up to rounding needs no symmetrizing.
+    """
+    if takagi:
+        n = blocks.shape[-1]
+        B, C = blocks.real, blocks.imag
+        eigvals, eigvecs = np.linalg.eigh(np.block([[B, -C], [-C, -B]]))
+        t = eigvecs[:, :n, -1] + 1j * eigvecs[:, n:, -1]
+        return eigvals[:, -1], t * EIGHTH_TURN, t * EIGHTH_TURN.conjugate()
+    U, sigmas, Vh = np.linalg.svd(blocks)
+    return sigmas[:, 0], U[:, :, 0].conj(), Vh[:, 0, :].conj()
+
+
+def _solve_pair(blocks: np.ndarray, takagi: bool) -> BilinearSolution:
+    """solve_bilinear for the C+C blocks (2, m, n) of A, the branch chosen by the caller."""
+    m, n = blocks.shape[1:]
+    if not blocks.any():
+        return BilinearSolution(CQVector.basis(m, 0), CQVector.basis(n, 0), 0.0, True)
+    values, xs, ys = _top_pairs(blocks, takagi)
+    if values[0] == values[1]:
+        weights = np.ones((2, 1))
+    else:
+        weights = np.zeros((2, 1))
+        weights[np.argmax(values)] = math.sqrt(2.0)
+    x = CQVector(cc_join(*(weights * xs)))
+    y = CQVector(cc_join(*(weights * ys)))
+    return BilinearSolution(x, y, float(values.max()), False)
+
+
 def solve_bilinear(A: CQMatrix) -> BilinearSolution:
     """Exact maximization of Re(x^T A y) over unit quaternion vectors.
 
     In C+C coordinates Re(x^T A y) = (Re(x1^T A1 y1) + Re(x2^T A2 y2)) / 2
     with |x1|^2 + |x2|^2 = |y1|^2 + |y2|^2 = 2, so the maximum is
     max(sigma_1(A1), sigma_1(A2)), the larger spectral norm of the two
-    complex m x n blocks. Each block's top singular pair comes from LAPACK
-    (np.linalg.svd). The winning component carries all the weight of x and
-    y; an exact tie spreads it evenly over both components, so a real A
-    gets a pair in the (1, i) subalgebra.
+    complex m x n blocks (_top_pairs). The winning component carries all
+    the weight of x and y; an exact tie spreads it evenly over both
+    components, so a real A gets a pair in the (1, i) subalgebra.
 
     A square A equal to its transpose, as is every block of a
     super-symmetric relaxation, is solved through a Takagi vector t with
@@ -93,27 +128,8 @@ def solve_bilinear(A: CQMatrix) -> BilinearSolution:
     degenerate.
     """
     m, n = A.shape
-    if not A.data.any():
-        return BilinearSolution(CQVector.basis(m, 0), CQVector.basis(n, 0), 0.0, True)
-    blocks = np.stack(cc_split(A.data))
-    if m == n and np.array_equal(A.data, A.data.transpose(1, 0, 2)):
-        B, C = blocks.real, blocks.imag
-        eigvals, eigvecs = np.linalg.eigh(np.block([[B, -C], [-C, -B]]))
-        values = eigvals[:, -1]
-        takagi = eigvecs[:, :n, -1] + 1j * eigvecs[:, n:, -1]
-        xs, ys = takagi * EIGHTH_TURN, takagi * EIGHTH_TURN.conjugate()
-    else:
-        U, sigmas, Vh = np.linalg.svd(blocks)
-        values = sigmas[:, 0]
-        xs, ys = U[:, :, 0].conj(), Vh[:, 0, :].conj()
-    if values[0] == values[1]:
-        weights = np.ones((2, 1))
-    else:
-        weights = np.zeros((2, 1))
-        weights[np.argmax(values)] = math.sqrt(2.0)
-    x = CQVector(cc_join(*(weights * xs)))
-    y = CQVector(cc_join(*(weights * ys)))
-    return BilinearSolution(x, y, float(values.max()), False)
+    takagi = m == n and np.array_equal(A.data, A.data.transpose(1, 0, 2))
+    return _solve_pair(np.stack(cc_split(A.data)), takagi)
 
 
 @dataclass
@@ -275,16 +291,20 @@ def maximize_form(form: MultilinearForm, trials: int, seed: int) -> SolveReport:
     """Best-of-k randomized maximization of Re F on the product of spheres.
 
     The first trial of largest value wins. sphere_draws replays its draws,
-    and its bilinear problem, contracted in quaternion arithmetic, is solved
-    in full for the vectors; the objective is the winner's batch value, the
-    last entry of form_running_best.
+    and its C+C blocks, bit for bit those the batch valued, get their top
+    pairs from _top_pairs (see _solve_pair); the objective is the winner's
+    batch value, the last entry of form_running_best. The Takagi branch is
+    taken when the sorted tensor equals itself with its two free (largest)
+    slots swapped, as every symmetrize output does.
     """
     best_so_far = form_running_best(form, trials, seed)
     best = int(np.argmax(best_so_far))
     perm = _slot_order(form.dims)
-    xis = [CQVector(draw[0]) for draw in sphere_draws(seed, best, best + 1, sorted(form.dims)[:-2])]
-    sol = solve_bilinear(CQMatrix(_contract_leading(_sorted_tensor(form), xis)))
-    by_order = xis + [sol.x, sol.y]
+    data = _sorted_tensor(form)
+    draws = sphere_draws(seed, best, best + 1, sorted(form.dims)[:-2])
+    blocks = _contract_batch(np.stack(cc_split(data)), _cc_draws(draws, unit_components=False))[0]
+    sol = _solve_pair(blocks, np.array_equal(data, data.swapaxes(-3, -2)))
+    by_order = [CQVector(draw[0]) for draw in draws] + [sol.x, sol.y]
     solution = [by_order[k] for k in np.argsort(perm)]
     return SolveReport(
         solution=solution,
@@ -314,6 +334,10 @@ def maximize_poly(poly: PolyProblem, trials: int, seed: int) -> SolveReport:
     d, n = poly.degree, poly.dim
     if d < 2:
         raise ValueError("degree must be at least 2")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     form = symmetrize(poly)
     if not form.tensor.data.any():
         return SolveReport(
@@ -437,7 +461,9 @@ def _randomized_starts(
     are valued in one batch, each component with an SVD only where it can
     set a new record of its own (see _trial_sigmas); only each component's
     first best trial t is redrawn, by sphere_draws(seed, t, t + 1, ...), and
-    given singular vectors. For d = 2 the single exact solve is trial 0.
+    its block of that component, bit for bit the batch's, goes to
+    _top_pairs with the other component's: one SVD per component. For d = 2
+    the single exact solve is trial 0.
     """
     d = comps[0].ndim
     dims = comps[0].shape
@@ -445,14 +471,16 @@ def _randomized_starts(
     free = sorted(set(range(d)) - set(sampled))
     moved = np.stack([np.moveaxis(c, sampled, list(range(d - 2))) for c in comps])
     sigmas = _trial_sigmas(moved, trials, seed, per_component=True)
+    winners = np.argmax(sigmas, axis=0)
+    draws = [_cc_draws(sphere_draws(seed, t, t + 1, moved.shape[1:-2]), unit_components=True) for t in winners]
+    blocks = np.stack([_contract_batch(moved, xis)[0, c] for c, xis in enumerate(draws)])
+    _, us, vs = _top_pairs(blocks, takagi=False)
     starts = []
-    for c, t in enumerate(np.argmax(sigmas, axis=0)):
-        xis = _cc_draws(sphere_draws(seed, t, t + 1, moved.shape[1:-2]), unit_components=True)
-        U, _, Vh = np.linalg.svd(_contract_batch(moved, xis)[0, c])
+    for c, (t, xis) in enumerate(zip(winners, draws)):
         xs: list[np.ndarray] = [np.empty(0)] * d
         for slot, xi in zip(sampled, xis):
             xs[slot] = xi[0, c]
-        xs[free[0]], xs[free[1]] = U[:, 0].conj(), Vh[0].conj()
+        xs[free[0]], xs[free[1]] = us[c], vs[c]
         starts.append((int(t), xs))
     return len(sigmas), starts
 

@@ -90,15 +90,15 @@ def test_symmetrize_off_diagonal_pair():
     poly = PolyProblem(2, 2)
     poly.add_term((1, 2), ONE)
     form = symmetrize(poly)
-    assert form.tensor[0, 1].components() == (0.5, 0.0, 0.0, 0.0)
-    assert form.tensor[1, 0].components() == (0.5, 0.0, 0.0, 0.0)
+    assert form.tensor.data[0, 1].tolist() == [0.5, 0.0, 0.0, 0.0]
+    assert form.tensor.data[1, 0].tolist() == [0.5, 0.0, 0.0, 0.0]
 
 
 def test_symmetrize_diagonal():
     poly = PolyProblem(2, 2)
     poly.add_term((1, 1), ONE)
     form = symmetrize(poly)
-    assert form.tensor[0, 0].components() == (1.0, 0.0, 0.0, 0.0)
+    assert form.tensor.data[0, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_symmetrize_triple_product():
@@ -106,7 +106,7 @@ def test_symmetrize_triple_product():
     poly.add_term((1, 2, 3), ONE)
     form = symmetrize(poly)
     for perm in itertools.permutations((0, 1, 2)):
-        assert form.tensor[perm].components() == pytest.approx((1 / 6, 0, 0, 0))
+        assert form.tensor.data[perm].tolist() == pytest.approx([1 / 6, 0, 0, 0])
 
 
 def test_symmetrize_permutation_invariance():
@@ -246,9 +246,8 @@ def test_sphere_to_block_scaling():
     # splitting sqrt(d) x with |x| = 1 into blocks gives total squared norm d
     d = 3
     v = rand_vector(6)
-    x = CQVector(v.data / np.linalg.norm(v.data))
-    scaled = math.sqrt(d) * x
-    blocks = [CQVector(scaled.data[0:2]), CQVector(scaled.data[2:4]), CQVector(scaled.data[4:6])]
+    scaled = math.sqrt(d) * (v.data / np.linalg.norm(v.data))
+    blocks = [CQVector(scaled[0:2]), CQVector(scaled[2:4]), CQVector(scaled[4:6])]
     assert sum(b.norm() ** 2 for b in blocks) == pytest.approx(d)
 
 

@@ -41,8 +41,8 @@ def test_tensor_round_trip_is_byte_identical():
 
 def test_tensor_unlisted_entries_are_zero():
     tensor = loads_tensor(TENSOR_TEXT)
-    assert tensor[1, 0].components() == (0.0, 0.0, 0.0, 0.0)
-    assert tensor[0, 1] == CQuat(-0.5, 1.0, 0.0, 2.0)
+    assert tensor.data[1, 0].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert tensor.data[0, 1].tolist() == [-0.5, 1.0, 0.0, 2.0]
 
 
 def test_tensor_file_round_trip(tmp_path):

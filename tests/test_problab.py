@@ -41,13 +41,13 @@ def test_tail_probability_scale_invariance_in_a():
     a = CQVector.from_real([0.3, -0.8, 0.5])
     p1 = estimate_tail_prob(3, 0.4, samples=samples, seed=4, a=a)
     for scale in (2.0, 2.0**600, 2.0**-600):
-        p2 = estimate_tail_prob(3, 0.4, samples=samples, seed=4, a=scale * a)
+        p2 = estimate_tail_prob(3, 0.4, samples=samples, seed=4, a=CQVector(scale * a.data))
         assert p1.empirical_prob == p2.empirical_prob
     # other scales round, so the counts agree within the band of the rotation test
     p = max(p1.empirical_prob, 1 / samples)
     band = 4 * math.sqrt(2 * p * (1 - p) / samples)
     for scale in (1e-170, 1e200):
-        p2 = estimate_tail_prob(3, 0.4, samples=samples, seed=4, a=scale * a)
+        p2 = estimate_tail_prob(3, 0.4, samples=samples, seed=4, a=CQVector(scale * a.data))
         assert abs(p1.empirical_prob - p2.empirical_prob) <= band
 
 

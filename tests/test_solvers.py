@@ -135,8 +135,8 @@ def test_bilinear_symmetric_block_pair_does_not_cancel():
         data = g.uniform(-1, 1, size=(n, n, 4))
         A = CQMatrix(data + data.transpose(1, 0, 2))
         sol = solve_bilinear(A)
-        assert (sol.x + sol.y).norm() == pytest.approx(math.sqrt(2), abs=1e-12)
-        assert (sol.x - sol.y).norm() == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert np.linalg.norm(sol.x.data + sol.y.data) == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert np.linalg.norm(sol.x.data - sol.y.data) == pytest.approx(math.sqrt(2), abs=1e-12)
         oracle = np.linalg.svd(real_block(A), compute_uv=False)[0]
         assert sol.value == pytest.approx(oracle, abs=1e-8)
         assert re_bilinear(sol.x, A, sol.y) == pytest.approx(sol.value, abs=1e-8)
@@ -263,7 +263,12 @@ def record_test_tensor(kind, dims, data_seed):
     if kind == "real":
         return CQTensor.from_real(g.uniform(-1, 1, size=shape))
     if kind == "zero":
-        return CQTensor.zeros(shape)
+        return CQTensor(np.zeros(shape + (4,)))
+    if kind == "two-largest-symmetric":
+        f0, f1 = np.argsort(shape, kind="stable")[-2:]
+        shape = tuple(shape[f1] if k == f0 else n for k, n in enumerate(shape))
+        data = g.uniform(-1, 1, size=shape + (4,))
+        return CQTensor(data + data.swapaxes(f0, f1))
     data = g.uniform(-1, 1, size=shape + (4,))
     if kind == "zero-slice":
         data[(slice(None),) * int(g.integers(len(shape))) + (0,)] = 0.0
@@ -318,6 +323,50 @@ def test_component_records_are_bit_equal_to_the_exact_values(kind, dims, data_se
     assert np.argmax(sigmas, axis=0).tolist() == np.argmax(exact, axis=0).tolist()
 
 
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "real", "all-ones", "two-largest-symmetric"]),
+    dims=st.lists(st.integers(1, 5), min_size=2, max_size=5),
+    data_seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(1, 40),
+)
+def test_winner_solves_match_the_batch_values(kind, dims, data_seed, trials):
+    tensor = record_test_tensor(kind, dims, data_seed)
+    form = MultilinearForm(tensor)
+    report = maximize_form(form, trials, seed=data_seed)
+    assert form(*report.solution).re == pytest.approx(report.objective, rel=1e-12)
+    # each rank-one start attains its component's batch sigma_1 of the winning trial
+    d = tensor.order
+    comps = cc_split(tensor.data)
+    sampled = [int(s) for s in np.argsort(tensor.dims, kind="stable")[: d - 2]]
+    moved = np.stack([np.moveaxis(c, sampled, list(range(d - 2))) for c in comps])
+    sigmas = solvers._trial_sigmas(moved, trials, data_seed, per_component=True)
+    _, starts = solvers._randomized_starts(comps, trials, data_seed)
+    for c, (t, xs) in enumerate(starts):
+        value = comps[c]
+        for x in reversed(xs):
+            value = value @ x
+        assert abs(value) == pytest.approx(sigmas[t, c], rel=1e-12)
+
+
+def test_symmetric_relaxation_gets_the_takagi_pair_from_an_asymmetric_batch_block():
+    # the batch contraction leaves this winner's block symmetric only up to rounding; the
+    # Takagi branch follows the relaxation's symmetry, not the bits of the block
+    g = np.random.default_rng(0)
+    poly = PolyProblem(4, 3)
+    for idx in itertools.combinations_with_replacement(range(1, 4), 4):
+        poly.add_term(idx, CQuat(*g.normal(size=4)))
+    report = maximize_poly(poly, 30, seed=1)
+    t = report.best_trial
+    comps = np.stack(cc_split(symmetrize(poly).tensor.data))
+    draws = solvers._cc_draws(sampling.sphere_draws(1, t, t + 1, [3, 3]), unit_components=False)
+    block = solvers._contract_batch(comps, draws)[0]
+    assert not np.array_equal(block, block.swapaxes(1, 2))
+    x, y = report.relaxation.solution[-2:]
+    assert np.linalg.norm(x.data + y.data) == pytest.approx(math.sqrt(2), abs=1e-12)
+    assert np.linalg.norm(x.data - y.data) == pytest.approx(math.sqrt(2), abs=1e-12)
+
+
 @pytest.fixture
 def blocks_per_call(monkeypatch):
     """The number of blocks each np.linalg.svd call of the test gets."""
@@ -368,6 +417,16 @@ def test_far_scaled_tensors_send_no_more_blocks_to_the_svd(blocks_per_call):
             lambda: maximize_poly(PolyProblem(1, 2), 5, seed=1),
             "degree must be at least 2",
             id="degree",
+        ),
+        pytest.param(
+            lambda: maximize_poly(PolyProblem(3, 2), 0, seed=1),
+            "trials must be at least 1",
+            id="poly-trials",
+        ),
+        pytest.param(
+            lambda: estimate_ball_min(PolyProblem(3, 2), 5, seed=-1),
+            "seed must be nonnegative",
+            id="poly-seed",
         ),
         pytest.param(
             lambda: best_rank_one(CQTensor(np.ones((3, 4))), 5, seed=1),
@@ -440,7 +499,7 @@ def test_experiment_averages_track_the_expected_ratio():
 
 
 def test_maximize_form_zero_tensor_is_degenerate():
-    form = MultilinearForm(CQTensor.zeros((2, 3, 2)))
+    form = MultilinearForm(CQTensor(np.zeros((2, 3, 2, 4))))
     assert np.array_equal(form_trial_values(form, 5, seed=1), np.zeros(5))
     report = maximize_form(form, 5, seed=1)
     assert report.objective == 0.0
@@ -540,7 +599,7 @@ def test_odd_degree_sign_symmetry(rng):
         for _ in range(4):
             poly.add_term(rng.integers(1, n + 1, size=d), CQuat(*rng.uniform(-1, 1, 4)))
         x = CQVector(rng.uniform(-1, 1, size=(n, 4)))
-        assert poly(-x).re == pytest.approx(-poly(x).re, abs=1e-10)
+        assert poly(CQVector(-x.data)).re == pytest.approx(-poly(x).re, abs=1e-10)
 
 
 def _re_h(poly, vec):
@@ -559,7 +618,7 @@ def test_odd_sign_search_matches_independent_enumeration(rng):
         best = max(best, math.prod(signs) * _re_h(poly, combo))
         if combo.norm() >= 1e-12:
             unit = CQVector(combo.data / np.linalg.norm(combo.data))
-            candidate = max(_re_h(poly, unit), _re_h(poly, -unit))
+            candidate = max(_re_h(poly, unit), _re_h(poly, CQVector(-unit.data)))
             assert report.objective >= candidate - 1e-9
     assert best > -np.inf
 
