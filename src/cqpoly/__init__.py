@@ -27,7 +27,6 @@ from .io import (
     write_tensor,
 )
 from .linalg import (
-    CQMatrix,
     CQTensor,
     CQVector,
     cc_join,
@@ -40,7 +39,6 @@ from .problab import (
 )
 from .sampling import RandomSource
 from .solvers import (
-    BilinearSolution,
     RankOneResult,
     SolveReport,
     best_rank_one,
@@ -49,7 +47,6 @@ from .solvers import (
     maximize_form,
     maximize_poly,
     poly_ratio_bound,
-    solve_bilinear,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +59,6 @@ __all__ = [
     "J",
     "K",
     "CQVector",
-    "CQMatrix",
     "CQTensor",
     "cc_split",
     "cc_join",
@@ -71,10 +67,8 @@ __all__ = [
     "PolyProblem",
     "symmetrize",
     "RandomSource",
-    "BilinearSolution",
     "SolveReport",
     "RankOneResult",
-    "solve_bilinear",
     "maximize_form",
     "maximize_poly",
     "best_rank_one",

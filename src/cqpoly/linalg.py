@@ -11,8 +11,9 @@ not multiplicative and no division is provided.
 
 Storage convention: every container wraps a read-only float64 ndarray whose
 last axis has length 4 and holds the (1, i, j, k) components. A vector is
-(n, 4), a matrix (m, n, 4), an order-d tensor (n1, ..., nd, 4). Containers
-hold storage only: arithmetic and indexing act on ``.data`` with numpy.
+(n, 4) and an order-d tensor (n1, ..., nd, 4); a matrix is the order-2
+tensor (m, n, 4). Containers hold storage only: arithmetic and indexing
+act on ``.data`` with numpy.
 
 The solvers work in C+C coordinates. The idempotents
 e1 = (1 + j)/2 and e2 = (1 - j)/2 split q = w + x i + y j + z k as
@@ -134,23 +135,6 @@ class CQVector(_Container):
 
     def __repr__(self) -> str:
         return f"CQVector({[str(q) for q in self.quats()]})"
-
-
-class CQMatrix(_Container):
-    """Quaternion matrix of shape (m, n), wrapping an (m, n, 4) component array."""
-
-    __slots__ = ()
-
-    def __init__(self, data):
-        self.data = _freeze(data, 3, "CQMatrix")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape[0], self.data.shape[1]
-
-    def __repr__(self) -> str:
-        m, n = self.shape
-        return f"CQMatrix(shape=({m}, {n}))"
 
 
 class CQTensor(_Container):

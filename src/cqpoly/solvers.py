@@ -46,12 +46,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .forms import MultilinearForm, PolyProblem, symmetrize
-from .linalg import CQMatrix, CQTensor, CQVector, cc_join, cc_split, outer_product, scale_exponent
+from .linalg import CQTensor, CQVector, cc_join, cc_split, outer_product, scale_exponent
 from .sampling import sphere_draws
 
 DEGENERATE_NORM = 1e-12
@@ -62,74 +62,42 @@ EIGHTH_TURN = np.exp(0.25j * np.pi)
 TRIAL_CHUNK_BYTES = 1 << 24
 
 
-class BilinearSolution(NamedTuple):
-    x: CQVector
-    y: CQVector
-    value: float
-    degenerate: bool = False
-
-
 def _top_pairs(blocks: np.ndarray, takagi: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sigma_1 and a unit pair (x_c, y_c) with Re(x_c^T A_c y_c) = sigma_1 of each block A_c of (2, m, n).
 
-    The pair is LAPACK's conjugate top singular pair, or with takagi, for
-    square blocks the caller knows to be symmetric, solve_bilinear's Takagi
-    pair. np.linalg.eigh reads only the lower triangle, so a block that is
-    symmetric only up to rounding needs no symmetrizing.
-    """
-    if takagi:
-        n = blocks.shape[-1]
-        B, C = blocks.real, blocks.imag
-        eigvals, eigvecs = np.linalg.eigh(np.block([[B, -C], [-C, -B]]))
-        t = eigvecs[:, :n, -1] + 1j * eigvecs[:, n:, -1]
-        return eigvals[:, -1], t * EIGHTH_TURN, t * EIGHTH_TURN.conjugate()
-    U, sigmas, Vh = np.linalg.svd(blocks)
-    return sigmas[:, 0], U[:, :, 0].conj(), Vh[:, 0, :].conj()
-
-
-def _solve_pair(blocks: np.ndarray, takagi: bool) -> BilinearSolution:
-    """solve_bilinear for the C+C blocks (2, m, n) of A, the branch chosen by the caller."""
-    m, n = blocks.shape[1:]
-    if not blocks.any():
-        return BilinearSolution(CQVector.basis(m, 0), CQVector.basis(n, 0), 0.0, True)
-    values, xs, ys = _top_pairs(blocks, takagi)
-    if values[0] == values[1]:
-        weights = np.ones((2, 1))
-    else:
-        weights = np.zeros((2, 1))
-        weights[np.argmax(values)] = math.sqrt(2.0)
-    x = CQVector(cc_join(*(weights * xs)))
-    y = CQVector(cc_join(*(weights * ys)))
-    return BilinearSolution(x, y, float(values.max()), False)
-
-
-def solve_bilinear(A: CQMatrix) -> BilinearSolution:
-    """Exact maximization of Re(x^T A y) over unit quaternion vectors.
-
     In C+C coordinates Re(x^T A y) = (Re(x1^T A1 y1) + Re(x2^T A2 y2)) / 2
-    with |x1|^2 + |x2|^2 = |y1|^2 + |y2|^2 = 2, so the maximum is
-    max(sigma_1(A1), sigma_1(A2)), the larger spectral norm of the two
-    complex m x n blocks (_top_pairs). The winning component carries all
-    the weight of x and y; an exact tie spreads it evenly over both
-    components, so a real A gets a pair in the (1, i) subalgebra.
+    with |x1|^2 + |x2|^2 = |y1|^2 + |y2|^2 = 2, so the maximum of Re(x^T A y)
+    over unit quaternion vectors is max(sigma_1(A1), sigma_1(A2)), the
+    larger spectral norm of the two complex m x n blocks. The pair is
+    LAPACK's conjugate top singular pair, or with takagi, for square blocks
+    the caller knows to be symmetric, a Takagi pair.
 
     A square A equal to its transpose, as is every block of a
     super-symmetric relaxation, is solved through a Takagi vector t with
     Re(t^T A t) = sigma_1: the top eigenvector of [[B, -C], [-C, -B]], the
     real symmetric matrix of Re(z^T (B + iC) z). Its spectrum is symmetric
     about 0 because z -> iz negates the form, so its largest eigenvalue is
-    sigma_1. Every pair (e^{i theta} t, e^{-i theta} t) is then optimal; the
-    solver returns theta = pi/4, for which x + y = sqrt(2) t and
-    x - y = sqrt(2) i t are both nonzero, so no sign combination in the
-    rounding of maximize_poly cancels the solved pair (a pair with y = -x
-    would make the degree-2 rounding x + y vanish).
-
-    A zero matrix yields value 0 with an arbitrary unit pair, flagged
-    degenerate.
+    sigma_1. The eigenvector is negated when its entry of largest magnitude
+    (the first on ties) is negative, so its sign is not LAPACK's choice and
+    a rounding-level change of the block does not negate t. Every pair
+    (e^{i theta} t, e^{-i theta} t) is then optimal; the pair returned has
+    theta = pi/4, for which x + y = sqrt(2) t and x - y = sqrt(2) i t are
+    both nonzero, so no sign combination in the rounding of maximize_poly
+    cancels the solved pair (a pair with y = -x would make the degree-2
+    rounding x + y vanish). np.linalg.eigh reads only the lower triangle,
+    so a block that is symmetric only up to rounding needs no symmetrizing.
     """
-    m, n = A.shape
-    takagi = m == n and np.array_equal(A.data, A.data.transpose(1, 0, 2))
-    return _solve_pair(np.stack(cc_split(A.data)), takagi)
+    if takagi:
+        n = blocks.shape[-1]
+        B, C = blocks.real, blocks.imag
+        eigvals, eigvecs = np.linalg.eigh(np.block([[B, -C], [-C, -B]]))
+        top = eigvecs[:, :, -1]
+        peak = np.take_along_axis(top, np.abs(top).argmax(axis=1)[:, None], axis=1)
+        top = np.where(peak < 0.0, -top, top)
+        t = top[:, :n] + 1j * top[:, n:]
+        return eigvals[:, -1], t * EIGHTH_TURN, t * EIGHTH_TURN.conjugate()
+    U, sigmas, Vh = np.linalg.svd(blocks)
+    return sigmas[:, 0], U[:, :, 0].conj(), Vh[:, 0, :].conj()
 
 
 @dataclass
@@ -292,10 +260,16 @@ def maximize_form(form: MultilinearForm, trials: int, seed: int) -> SolveReport:
 
     The first trial of largest value wins. sphere_draws replays its draws,
     and its C+C blocks, bit for bit those the batch valued, get their top
-    pairs from _top_pairs (see _solve_pair); the objective is the winner's
-    batch value, the last entry of form_running_best. The Takagi branch is
-    taken when the sorted tensor equals itself with its two free (largest)
-    slots swapped, as every symmetrize output does.
+    pairs from _top_pairs; the objective is the winner's batch value, the
+    last entry of form_running_best. The Takagi branch is taken when the
+    sorted tensor equals itself with its two free (largest) slots swapped,
+    as every symmetrize output does. For d = 2 this is the exact solve of
+    max Re(x^T A y), as trial 0.
+
+    The winning component carries all the weight of the two free vectors;
+    an exact tie spreads it evenly over both components, so a real tensor
+    gets a pair in the (1, i) subalgebra. Zero blocks yield an arbitrary
+    unit pair, and the report is flagged degenerate.
     """
     best_so_far = form_running_best(form, trials, seed)
     best = int(np.argmax(best_so_far))
@@ -303,8 +277,19 @@ def maximize_form(form: MultilinearForm, trials: int, seed: int) -> SolveReport:
     data = _sorted_tensor(form)
     draws = sphere_draws(seed, best, best + 1, sorted(form.dims)[:-2])
     blocks = _contract_batch(np.stack(cc_split(data)), _cc_draws(draws, unit_components=False))[0]
-    sol = _solve_pair(blocks, np.array_equal(data, data.swapaxes(-3, -2)))
-    by_order = [CQVector(draw[0]) for draw in draws] + [sol.x, sol.y]
+    m, n = blocks.shape[1:]
+    degenerate = not blocks.any()
+    if degenerate:
+        free = [CQVector.basis(m, 0), CQVector.basis(n, 0)]
+    else:
+        values, xs, ys = _top_pairs(blocks, np.array_equal(data, data.swapaxes(-3, -2)))
+        if values[0] == values[1]:
+            weights = np.ones((2, 1))
+        else:
+            weights = np.zeros((2, 1))
+            weights[np.argmax(values)] = math.sqrt(2.0)
+        free = [CQVector(cc_join(*(weights * xs))), CQVector(cc_join(*(weights * ys)))]
+    by_order = [CQVector(draw[0]) for draw in draws] + free
     solution = [by_order[k] for k in np.argsort(perm)]
     return SolveReport(
         solution=solution,
@@ -312,7 +297,7 @@ def maximize_form(form: MultilinearForm, trials: int, seed: int) -> SolveReport:
         trials=len(best_so_far),
         best_trial=best,
         seed=seed,
-        degenerate=sol.degenerate,
+        degenerate=degenerate,
     )
 
 
@@ -329,7 +314,7 @@ def maximize_poly(poly: PolyProblem, trials: int, seed: int) -> SolveReport:
     candidates are valued in one pass. Some combination never vanishes: for
     d >= 3 the cross terms s_k s_l cancel over the sign set, so the mean of
     |sum_k s_k x^k|^2 over it is d; for d = 2 the symmetric relaxation's
-    solve_bilinear pair has x + y = sqrt(2) t.
+    Takagi pair from _top_pairs has x + y = sqrt(2) t.
     """
     d, n = poly.degree, poly.dim
     if d < 2:

@@ -8,7 +8,8 @@ computes by a second, plainer route:
   is the scalar reference of polynomial evaluation.
 - ``real_block`` and ``vec_real``: the 4x4 real embedding of the bilinear
   form. The top singular value of ``real_block(A)`` is the maximum that
-  ``solve_bilinear`` finds through its C+C SVD.
+  ``maximize_form`` finds on an order-2 form through its C+C SVD, and
+  the value of each trial of a higher-order form's contracted block.
 - ``lift_to_poly``: a multilinear form as a polynomial of the stacked
   vector. Checks ``PolyProblem`` evaluation against ``MultilinearForm``.
 - ``sign_average_identity``: the sign-average identity of He, Li & Zhang
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cqpoly import CQMatrix, CQuat, CQVector, MultilinearForm, PolyProblem, cc_split, solvers
+from cqpoly import CQuat, CQVector, MultilinearForm, PolyProblem, cc_split, solvers
 from cqpoly.problab import _RE_SIGNS, BATCH_SIZE
 from cqpoly.sampling import RandomSource, sphere_draws
 
@@ -65,10 +66,10 @@ def qmul(p, q) -> tuple[float, float, float, float]:
     )
 
 
-def real_block(A: CQMatrix) -> np.ndarray:
-    """The real 4m x 4n embedding of A, in the block order above."""
-    m, n = A.shape
-    A0, A1, A2, A3 = (A.data[..., c] for c in range(4))
+def real_block(A: np.ndarray) -> np.ndarray:
+    """The real 4m x 4n embedding of an (m, n, 4) array A, in the block order above."""
+    m, n = A.shape[:2]
+    A0, A1, A2, A3 = (A[..., c] for c in range(4))
     grid = [
         [A0, -A1, A2, -A3],
         [-A1, -A0, -A3, -A2],

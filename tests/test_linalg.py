@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqpoly import (
-    CQMatrix,
     CQTensor,
     CQVector,
     I,
@@ -27,29 +26,29 @@ def rand_vector(n, scale=1.0):
 
 
 def rand_matrix(m, n, scale=1.0):
-    return CQMatrix(scale * rng.uniform(-1, 1, size=(m, n, 4)))
+    return scale * rng.uniform(-1, 1, size=(m, n, 4))
 
 
 def re_bilinear(x, A, y):
     """Re(x^T A y), by the package's order-2 form evaluator."""
-    return MultilinearForm(CQTensor(A.data))(x, y).re
+    return MultilinearForm(CQTensor(A))(x, y).re
 
 
 def test_re_bilinear_scalar_examples():
     one = CQVector([ONE.components()])
-    eye = CQMatrix([[ONE.components()]])
+    eye = np.array([[ONE.components()]])
     assert re_bilinear(one, eye, one) == pytest.approx(1.0)
     iv = CQVector([I.components()])
     assert re_bilinear(iv, eye, iv) == pytest.approx(-1.0)
 
 
 def test_real_block_of_real_unit():
-    block = real_block(CQMatrix([[ONE.components()]]))
+    block = real_block(np.array([[ONE.components()]]))
     assert np.array_equal(block, np.diag([1.0, -1.0, 1.0, -1.0]))
 
 
 def test_real_block_of_imaginary_unit():
-    block = real_block(CQMatrix([[I.components()]]))
+    block = real_block(np.array([[I.components()]]))
     expected = np.array(
         [
             [0, -1, 0, 0],
@@ -64,7 +63,7 @@ def test_real_block_of_imaginary_unit():
 
 def test_real_block_of_all_ones_is_block_diagonal():
     m, n = 2, 3
-    block = real_block(CQMatrix.from_real(np.ones((m, n))))
+    block = real_block(CQTensor.from_real(np.ones((m, n))).data)
     expected = np.zeros((4 * m, 4 * n))
     for c, sign in enumerate([1.0, -1.0, 1.0, -1.0]):
         expected[c * m : (c + 1) * m, c * n : (c + 1) * n] = sign

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqpoly import (
-    CQMatrix,
     CQTensor,
     CQVector,
     CQuat,
@@ -25,7 +24,6 @@ from cqpoly import (
     maximize_poly,
     outer_product,
     poly_ratio_bound,
-    solve_bilinear,
     symmetrize,
 )
 from cqpoly import sampling, solvers
@@ -41,33 +39,44 @@ def rng():
 
 
 def rand_matrix(rng, m, n):
-    return CQMatrix(rng.uniform(-1, 1, size=(m, n, 4)))
+    return rng.uniform(-1, 1, size=(m, n, 4))
 
 
-def re_bilinear(x, A, y):
-    """Re(x^T A y), by the package's order-2 form evaluator, not by solve_bilinear's C+C SVD."""
-    return MultilinearForm(CQTensor(A.data))(x, y).re
+def solve_order_two(A, trials=1, seed=0):
+    """The order-2 form of an (m, n, 4) array A, and maximize_form's report on it."""
+    form = MultilinearForm(CQTensor(A))
+    return form, maximize_form(form, trials, seed)
+
+
+def sigma_oracle(A):
+    """The top singular value of the real embedding of A: max Re(x^T A y) on unit spheres."""
+    return np.linalg.svd(real_block(A), compute_uv=False)[0]
+
+
+def report_bytes(report):
+    """Everything a report says about its solve, the vectors as bytes; the seed is left out."""
+    vectors = [v.data.tobytes() for v in report.solution]
+    return report.objective, report.trials, report.best_trial, report.degenerate, vectors
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 4)])
 def test_bilinear_all_ones(m, n):
-    A = CQMatrix.from_real(np.ones((m, n)))
-    sol = solve_bilinear(A)
-    assert sol.value == pytest.approx(math.sqrt(m * n), abs=1e-8)
-    assert re_bilinear(sol.x, A, sol.y) == pytest.approx(sol.value, abs=1e-8)
-    assert sol.x.norm() == pytest.approx(1.0, abs=1e-10)
-    assert sol.y.norm() == pytest.approx(1.0, abs=1e-10)
+    form, report = solve_order_two(CQTensor.from_real(np.ones((m, n))).data)
+    assert report.objective == pytest.approx(math.sqrt(m * n), abs=1e-8)
+    assert form(*report.solution).re == pytest.approx(report.objective, abs=1e-8)
+    for vec in report.solution:
+        assert vec.norm() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_bilinear_scalar_units():
-    assert solve_bilinear(CQMatrix([[ONE.components()]])).value == pytest.approx(1.0, abs=1e-10)
-    assert solve_bilinear(CQMatrix([[CQuat(0, 1).components()]])).value == pytest.approx(1.0, abs=1e-10)
+    assert solve_order_two(np.array([[ONE.components()]]))[1].objective == pytest.approx(1.0, abs=1e-10)
+    assert solve_order_two(np.array([[CQuat(0, 1).components()]]))[1].objective == pytest.approx(1.0, abs=1e-10)
 
 
 def oracle_test_matrix(kind, m, n, data_seed):
     g = np.random.default_rng(data_seed)
     if kind == "real":
-        return CQMatrix.from_real(g.uniform(-1, 1, size=(m, n))).data
+        return CQTensor.from_real(g.uniform(-1, 1, size=(m, n))).data
     if kind == "symmetric":
         data = g.uniform(-1, 1, size=(m, m, 4))
         return data + data.transpose(1, 0, 2)
@@ -86,27 +95,29 @@ def oracle_test_matrix(kind, m, n, data_seed):
     scale=st.sampled_from([1.0, 1e-100, 1e100]),
 )
 def test_bilinear_matches_svd_oracle(kind, m, n, data_seed, scale):
-    A = CQMatrix(scale * oracle_test_matrix(kind, m, n, data_seed))
-    sol = solve_bilinear(A)
-    oracle = np.linalg.svd(real_block(A), compute_uv=False)[0]
-    assert sol.value == pytest.approx(oracle, rel=1e-10, abs=1e-300)
-    assert re_bilinear(sol.x, A, sol.y) == pytest.approx(sol.value, rel=1e-10, abs=1e-300)
-    assert sol.x.norm() == pytest.approx(1.0, abs=1e-12)
-    assert sol.y.norm() == pytest.approx(1.0, abs=1e-12)
+    A = scale * oracle_test_matrix(kind, m, n, data_seed)
+    form, report = solve_order_two(A)
+    assert report.objective == pytest.approx(sigma_oracle(A), rel=1e-10, abs=1e-300)
+    assert form(*report.solution).re == pytest.approx(report.objective, rel=1e-10, abs=1e-300)
+    for vec in report.solution:
+        assert vec.norm() == pytest.approx(1.0, abs=1e-12)
+    # d = 2 is one exact solve: trial 0, whatever the trial count and the seed
+    assert (report.trials, report.best_trial) == (1, 0)
+    for trials, seed in [(7, 0), (1, 9), (7, 9)]:
+        assert report_bytes(solve_order_two(A, trials, seed)[1]) == report_bytes(report)
 
 
 def test_bilinear_dominates_random_feasible_pairs(rng):
     A = rand_matrix(rng, 3, 2)
-    sol = solve_bilinear(A)
+    form, report = solve_order_two(A)
     for u, v in zip(*reference_draws(11, 0, 200, [3, 2])):
-        assert sol.value >= re_bilinear(CQVector(u), A, CQVector(v)) - 1e-9
+        assert report.objective >= form(CQVector(u), CQVector(v)).re - 1e-9
 
 
 def test_bilinear_survives_start_orthogonal_to_top_space():
     # the all-ones start is an exact eigenvector of the smaller eigenvalue here
-    A = CQMatrix.from_real(np.array([[2.5, -1.5], [-1.5, 2.5]]))
-    sol = solve_bilinear(A)
-    assert sol.value == pytest.approx(4.0, abs=1e-8)
+    A = CQTensor.from_real(np.array([[2.5, -1.5], [-1.5, 2.5]])).data
+    assert solve_order_two(A)[1].objective == pytest.approx(4.0, abs=1e-8)
 
 
 def test_bilinear_near_tie_across_components():
@@ -117,14 +128,14 @@ def test_bilinear_near_tie_across_components():
         q1, _ = np.linalg.qr(g.normal(size=(3, 3)) + 1j * g.normal(size=(3, 3)))
         q2, _ = np.linalg.qr(g.normal(size=(4, 4)) + 1j * g.normal(size=(4, 4)))
         blocks.append(q1[:, :3] @ np.diag([top, 0.6, 0.2]) @ q2[:, :3].conj().T)
-    A = CQMatrix(cc_join(*blocks))
-    sol = solve_bilinear(A)
-    oracle = np.linalg.svd(real_block(A), compute_uv=False)[0]
+    A = cc_join(*blocks)
+    form, report = solve_order_two(A)
+    oracle = sigma_oracle(A)
     assert oracle == pytest.approx(1.0 + 5e-7, abs=1e-12)
-    assert sol.value == pytest.approx(oracle, abs=1e-12)
-    assert sol.x.norm() == pytest.approx(1.0, abs=1e-12)
-    assert sol.y.norm() == pytest.approx(1.0, abs=1e-12)
-    assert re_bilinear(sol.x, A, sol.y) == pytest.approx(sol.value, abs=1e-12)
+    assert report.objective == pytest.approx(oracle, abs=1e-12)
+    for vec in report.solution:
+        assert vec.norm() == pytest.approx(1.0, abs=1e-12)
+    assert form(*report.solution).re == pytest.approx(report.objective, abs=1e-12)
 
 
 def test_bilinear_symmetric_block_pair_does_not_cancel():
@@ -133,32 +144,49 @@ def test_bilinear_symmetric_block_pair_does_not_cancel():
     for _ in range(20):
         n = int(g.integers(1, 5))
         data = g.uniform(-1, 1, size=(n, n, 4))
-        A = CQMatrix(data + data.transpose(1, 0, 2))
-        sol = solve_bilinear(A)
-        assert np.linalg.norm(sol.x.data + sol.y.data) == pytest.approx(math.sqrt(2), abs=1e-12)
-        assert np.linalg.norm(sol.x.data - sol.y.data) == pytest.approx(math.sqrt(2), abs=1e-12)
-        oracle = np.linalg.svd(real_block(A), compute_uv=False)[0]
-        assert sol.value == pytest.approx(oracle, abs=1e-8)
-        assert re_bilinear(sol.x, A, sol.y) == pytest.approx(sol.value, abs=1e-8)
+        A = data + data.transpose(1, 0, 2)
+        form, report = solve_order_two(A)
+        x, y = (v.data for v in report.solution)
+        assert np.linalg.norm(x + y) == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert np.linalg.norm(x - y) == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert report.objective == pytest.approx(sigma_oracle(A), abs=1e-8)
+        assert form(*report.solution).re == pytest.approx(report.objective, abs=1e-8)
+
+
+def test_takagi_vector_sign_survives_rounding_noise():
+    # a symmetric change of 1e-15 max|A| leaves the top eigenvalue simple, so the sign rule fixes t
+    g = np.random.default_rng(26)
+    for _ in range(300):
+        n = int(g.integers(2, 6))
+        blocks = g.normal(size=(2, n, n)) + 1j * g.normal(size=(2, n, n))
+        blocks = blocks + blocks.swapaxes(1, 2)
+        noise = g.normal(size=(2, n, n)) + 1j * g.normal(size=(2, n, n))
+        noise = noise + noise.swapaxes(1, 2)
+        noise *= 1e-15 * np.abs(blocks).max() / np.abs(noise).max()
+        _, xs, ys = solvers._top_pairs(blocks, takagi=True)
+        _, xs_noisy, ys_noisy = solvers._top_pairs(blocks + noise, takagi=True)
+        np.testing.assert_allclose(xs_noisy, xs, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(ys_noisy, ys, rtol=0, atol=1e-6)
 
 
 def test_bilinear_zero_matrix_degenerate():
-    sol = solve_bilinear(CQMatrix(np.zeros((2, 3, 4))))
-    assert sol.degenerate
-    assert sol.value == 0.0
-    assert sol.x.norm() == pytest.approx(1.0)
-    assert sol.y.norm() == pytest.approx(1.0)
+    _, report = solve_order_two(np.zeros((2, 3, 4)))
+    assert report.degenerate
+    assert report.objective == 0.0
+    for vec in report.solution:
+        assert vec.norm() == pytest.approx(1.0)
 
 
 def test_maximize_form_d2_is_exact_and_trial_free():
     A = np.ones((2, 2))
     form = MultilinearForm(CQTensor.from_real(A))
+    first = maximize_form(form, 1, seed=3)
     for trials in (1, 7, 50):
         report = maximize_form(form, trials, seed=3)
         assert report.objective == pytest.approx(2.0, abs=1e-10)
         assert report.trials == 1
-        exact = solve_bilinear(CQMatrix.from_real(A))
-        assert report.objective == exact.value
+        assert report_bytes(report) == report_bytes(first)
+    assert first.objective == pytest.approx(sigma_oracle(form.tensor.data), rel=1e-12)
 
 
 def test_maximize_form_d2_dominates_feasible_pairs(rng):
@@ -216,14 +244,14 @@ def test_maximize_form_slot_permutation_restores_order(rng):
 
 
 def per_trial_values(form, trials, seed):
-    # the trial loop one trial at a time: quaternion contraction, then solve_bilinear
+    # the trial loop one trial at a time: quaternion contraction, then sigma_1 of the real embedding
     d = form.order
     perm = [int(s) for s in np.argsort(form.dims, kind="stable")]
     sorted_data = np.transpose(form.tensor.data, perm + [d])
     values = []
     for t in range(trials):
         xis = [CQVector(x[0]) for x in reference_draws(seed, t, t + 1, [form.dims[s] for s in perm[: d - 2]])]
-        values.append(solve_bilinear(CQMatrix(_contract_leading(sorted_data, xis))).value)
+        values.append(sigma_oracle(_contract_leading(sorted_data, xis)))
     return np.array(values)
 
 
@@ -805,7 +833,7 @@ def test_order_two_solves_seed_no_stream(monkeypatch):
     for shape in [(3, 6), (5, 3)]:
         tensor = CQTensor(g.normal(size=shape + (4,)))
         form = MultilinearForm(tensor)
-        exact = solve_bilinear(CQMatrix(tensor.data)).value
+        exact = sigma_oracle(tensor.data)
         for trials in (1, 50):
             assert solvers.form_running_best(form, trials, seed=1).shape == (1,)
             report = maximize_form(form, trials, seed=1)
@@ -840,10 +868,10 @@ def test_solvers_see_tiny_and_huge_inputs_as_nonzero():
             report = maximize_form(form, 20, seed=3)
             assert not report.degenerate
             assert form(*report.solution).re == pytest.approx(report.objective, rel=1e-9, abs=0.0)
-            sol = solve_bilinear(CQMatrix(scale * tensor[:, :, 0]))
-            unscaled = solve_bilinear(CQMatrix(tensor[:, :, 0]))
+            _, sol = solve_order_two(scale * tensor[:, :, 0], seed=3)
+            _, unscaled = solve_order_two(tensor[:, :, 0], seed=3)
             assert not sol.degenerate
-            assert sol.value == pytest.approx(scale * unscaled.value, rel=1e-12)
+            assert sol.objective == pytest.approx(scale * unscaled.objective, rel=1e-12)
             poly = PolyProblem(3, 3)
             for idx in itertools.combinations_with_replacement((1, 2, 3), 3):
                 poly.add_term(idx, CQuat(*(scale * g.normal(size=4))))
