@@ -1,6 +1,6 @@
 """Optimization of polynomials and multilinear forms over commutative quaternions."""
 
-from .core import CQuat, I, J, K, ONE, ZERO
+from .core import CQuat
 from .experiment import (
     ExperimentConfig,
     ExperimentRow,
@@ -53,11 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CQuat",
-    "ZERO",
-    "ONE",
-    "I",
-    "J",
-    "K",
     "CQVector",
     "CQTensor",
     "cc_split",

@@ -49,10 +49,3 @@ class CQuat:
             sign = "-" if value < 0 else "+"
             parts.append(f"{sign} {abs(value):g}{unit}")
         return " ".join(parts)
-
-
-ZERO = CQuat()
-ONE = CQuat(1.0)
-I = CQuat(0.0, 1.0)
-J = CQuat(0.0, 0.0, 1.0)
-K = CQuat(0.0, 0.0, 0.0, 1.0)

@@ -37,8 +37,6 @@ class MultilinearForm:
     __slots__ = ("tensor",)
 
     def __init__(self, tensor: CQTensor):
-        if tensor.order < 1:
-            raise ValueError("form needs an order >= 1 tensor")
         self.tensor = tensor
 
     @property
@@ -49,18 +47,15 @@ class MultilinearForm:
     def dims(self) -> tuple[int, ...]:
         return self.tensor.dims
 
-    def _check_slot(self, slot: int, vec: CQVector) -> None:
-        if len(vec) != self.dims[slot]:
-            raise ValueError(
-                f"slot {slot} expects length {self.dims[slot]}, got {len(vec)}"
-            )
-
     def __call__(self, *xs: CQVector) -> CQuat:
         """Full contraction; the product order is irrelevant by commutativity."""
         if len(xs) != self.order:
             raise ValueError(f"expected {self.order} vectors, got {len(xs)}")
         for slot, vec in enumerate(xs):
-            self._check_slot(slot, vec)
+            if len(vec) != self.dims[slot]:
+                raise ValueError(
+                    f"slot {slot} expects length {self.dims[slot]}, got {len(vec)}"
+                )
         return CQuat(*_contract_leading(self.tensor.data, xs))
 
 
@@ -99,9 +94,6 @@ class PolyProblem:
         if not all(map(math.isfinite, coeff.components())):
             raise ValueError(f"coefficient of {idx} must be finite, got {coeff!r}")
         self._coeffs[idx] = coeff
-
-    def terms(self) -> list[tuple[tuple[int, ...], CQuat]]:
-        return sorted(self._coeffs.items())
 
     @property
     def coeffs(self) -> dict[tuple[int, ...], CQuat]:

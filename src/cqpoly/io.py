@@ -41,12 +41,10 @@ POLY_MAGIC = "CQP1"
 
 
 class ParseError(ValueError):
-    """Malformed input file; the message carries the offending line number."""
+    """Malformed input file; the message reads '<source>:<lineno>: <message>'."""
 
     def __init__(self, source: str, lineno: int, message: str):
         super().__init__(f"{source}:{lineno}: {message}")
-        self.source = source
-        self.lineno = lineno
 
 
 def _numbers(source: str, lineno: int, tokens: list[str], kind: type) -> list:
@@ -211,7 +209,7 @@ def loads_poly(text: str, source: str = "<string>") -> PolyProblem:
 
 def dumps_poly(poly: PolyProblem) -> str:
     header = [POLY_MAGIC, f"degree {poly.degree}", f"dim {poly.dim}"]
-    return _dumps(header, ((idx, coeff.components()) for idx, coeff in poly.terms()))
+    return _dumps(header, ((idx, coeff.components()) for idx, coeff in sorted(poly.coeffs.items())))
 
 
 def read_poly(path) -> PolyProblem:

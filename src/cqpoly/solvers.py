@@ -15,18 +15,19 @@ maximum needs the value of only the trials that set a new record, so the
 trials are evaluated as one batch in C+C coordinates: the draws of a chunk
 of trials are stacked and contracted into the (trials, 2, m, n) blocks of
 the remaining bilinear problems. Cheap bounds lower <= sigma_1 <= upper
-of every block (from its Gram matrix) then decide which blocks can set a
-record: a block whose upper bound, with a relative margin of 1e-10, is
-strictly below the largest lower bound of the trials before it cannot
-raise or tie the best value so far, so it gets no SVD. The rest are
-valued by one batched LAPACK call for the top singular values, without
-singular vectors; that is the call an SVD of every block would make on
-the same block, so the running maximum and its first maximizing trial
-are bit for bit those of solving every trial. Only the winning trial t is
-then redrawn, as the one-stream range sphere_draws(seed, t, t + 1, ...),
-and contracted by the same fixed-shape arithmetic, so its blocks are bit
-for bit the ones the batch valued; one routine, _top_pairs, gives them
-their top singular pairs, for forms, polynomials and rank-one alike.
+of every block (from its Gram matrix) then screen out the blocks that
+cannot raise or tie the best value so far (the screening rule of
+_trial_sigmas), and those get no SVD. The rest are valued by one batched
+LAPACK call for the top singular values, without singular vectors; that
+is the call an SVD of every block would make on the same block, so the
+running maximum and its first maximizing trial are bit for bit those of
+solving every trial.
+
+Replay: only a winning trial t is then redrawn, as the one-stream range
+sphere_draws(seed, t, t + 1, ...), and contracted by the same fixed-shape
+arithmetic, so its blocks are bit for bit the ones the batch valued; one
+routine, _top_pairs, gives them their top singular pairs, for forms,
+polynomials and rank-one alike.
 
 Slots are processed in nondecreasing dimension order: the d-2 smallest
 are sampled on their spheres and the two largest are solved exactly, so a
@@ -189,19 +190,20 @@ def _trial_sigmas(
     slots leading. Trials run in chunks whose first contraction, the
     largest intermediate array, stays within TRIAL_CHUNK_BYTES.
 
-    A block gets an SVD only if it can set a new record (see the module
-    docstring); the others read -inf. A record is a new maximum of the
-    trial value max(sigma_1(A1), sigma_1(A2)), or with per_component of
-    each component's sigma_1, whose draws are then normalized per
-    component (see _cc_draws). Block (t, c) is skipped only if
-    upper(t, c) (1 + 1e-10) is below floor (1 - 1e-10), where the floor is
-    the largest lower bound from _sigma_bounds over the trials before t
-    (over both components unless per_component). The floor starts at
-    -inf, so trial 0 is always solved, and it is always the lower bound of
-    a solved block, since a skipped block's lower bound is below it. It
-    depends only on the trials before t, so the skipped blocks do not
-    depend on the trial count or the chunking either. A run of one trial,
-    as is every run with no sampled slot (d = 2), computes no bounds.
+    Screening rule: a block gets an SVD only if it can set a new record;
+    the others read -inf. A record is a new maximum of the trial value
+    max(sigma_1(A1), sigma_1(A2)), or with per_component of each
+    component's sigma_1, whose draws are then normalized per component
+    (see _cc_draws). Block (t, c) is skipped only if upper(t, c)
+    (1 + 1e-10) is below floor (1 - 1e-10), where the floor is the largest
+    lower bound from _sigma_bounds over the trials before t (over both
+    components unless per_component), so a skipped block can neither
+    raise nor tie the best value before it. The floor starts at -inf, so
+    trial 0 is always solved, and it is always the lower bound of a solved
+    block, since a skipped block's lower bound is below it. It depends only
+    on the trials before t, so the skipped blocks do not depend on the
+    trial count or the chunking either. A run of one trial, as is every
+    run with no sampled slot (d = 2), computes no bounds.
 
     Bounds are compared only with each other, so they may be taken of all
     blocks times one power of two: 2^-e when the largest |entry| of comps
@@ -232,9 +234,13 @@ def _trial_sigmas(
     return sigmas
 
 
-def _sorted_tensor(form: MultilinearForm) -> np.ndarray:
-    perm = _slot_order(form.dims)
-    return np.transpose(form.tensor.data, perm + [form.order])
+def _sorted_tensor(form: MultilinearForm, trials: int) -> np.ndarray:
+    """The form's tensor with its slots in _slot_order, once the form and the trial count are checked."""
+    if form.order < 2:
+        raise ValueError("form must have order at least 2")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    return np.transpose(form.tensor.data, _slot_order(form.dims) + [form.order])
 
 
 def form_running_best(form: MultilinearForm, trials: int, seed: int) -> np.ndarray:
@@ -242,59 +248,52 @@ def form_running_best(form: MultilinearForm, trials: int, seed: int) -> np.ndarr
 
     Trial t samples the d-2 smallest slots and solves the two largest
     exactly (see the module docstring); for d = 2 the array has one entry.
-    A trial is solved only if its upper bound does not prove that it stays
-    below the best found before it (see _trial_sigmas), and the array is
-    bit for bit the running maximum of solving every trial.
+    Trials are screened as in _trial_sigmas, and the array is bit for bit
+    the running maximum of solving every trial.
     """
-    d = form.order
-    if d < 2:
-        raise ValueError("form must have order at least 2")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    comps = np.stack(cc_split(_sorted_tensor(form)))
+    comps = np.stack(cc_split(_sorted_tensor(form, trials)))
     return np.maximum.accumulate(_trial_sigmas(comps, trials, seed).max(axis=1))
 
 
 def maximize_form(form: MultilinearForm, trials: int, seed: int) -> SolveReport:
     """Best-of-k randomized maximization of Re F on the product of spheres.
 
-    The first trial of largest value wins. sphere_draws replays its draws,
-    and its C+C blocks, bit for bit those the batch valued, get their top
-    pairs from _top_pairs; the objective is the winner's batch value, the
-    last entry of form_running_best. The Takagi branch is taken when the
-    sorted tensor equals itself with its two free (largest) slots swapped,
-    as every symmetrize output does. For d = 2 this is the exact solve of
-    max Re(x^T A y), as trial 0.
+    The first trial of largest value wins and is replayed (see the module
+    docstring); the objective is its batch value from _trial_sigmas. The
+    Takagi branch of _top_pairs is taken when the sorted tensor equals
+    itself with its two free (largest) slots swapped, as every symmetrize
+    output does. For d = 2 this is the exact solve of max Re(x^T A y), as
+    trial 0.
 
     The winning component carries all the weight of the two free vectors;
     an exact tie spreads it evenly over both components, so a real tensor
     gets a pair in the (1, i) subalgebra. Zero blocks yield an arbitrary
     unit pair, and the report is flagged degenerate.
     """
-    best_so_far = form_running_best(form, trials, seed)
-    best = int(np.argmax(best_so_far))
-    perm = _slot_order(form.dims)
-    data = _sorted_tensor(form)
-    draws = sphere_draws(seed, best, best + 1, sorted(form.dims)[:-2])
-    blocks = _contract_batch(np.stack(cc_split(data)), _cc_draws(draws, unit_components=False))[0]
+    data = _sorted_tensor(form, trials)
+    comps = np.stack(cc_split(data))
+    values = _trial_sigmas(comps, trials, seed).max(axis=1)
+    best = int(np.argmax(values))
+    draws = sphere_draws(seed, best, best + 1, comps.shape[1:-2])
+    blocks = _contract_batch(comps, _cc_draws(draws, unit_components=False))[0]
     m, n = blocks.shape[1:]
     degenerate = not blocks.any()
     if degenerate:
         free = [CQVector.basis(m, 0), CQVector.basis(n, 0)]
     else:
-        values, xs, ys = _top_pairs(blocks, np.array_equal(data, data.swapaxes(-3, -2)))
-        if values[0] == values[1]:
+        sigmas, xs, ys = _top_pairs(blocks, np.array_equal(data, data.swapaxes(-3, -2)))
+        if sigmas[0] == sigmas[1]:
             weights = np.ones((2, 1))
         else:
             weights = np.zeros((2, 1))
-            weights[np.argmax(values)] = math.sqrt(2.0)
+            weights[np.argmax(sigmas)] = math.sqrt(2.0)
         free = [CQVector(cc_join(*(weights * xs))), CQVector(cc_join(*(weights * ys)))]
     by_order = [CQVector(draw[0]) for draw in draws] + free
-    solution = [by_order[k] for k in np.argsort(perm)]
+    solution = [by_order[k] for k in np.argsort(_slot_order(form.dims))]
     return SolveReport(
         solution=solution,
-        objective=float(best_so_far[-1]),
-        trials=len(best_so_far),
+        objective=float(values[best]),
+        trials=len(values),
         best_trial=best,
         seed=seed,
         degenerate=degenerate,
@@ -443,12 +442,11 @@ def _randomized_starts(
     slots, as RandomSource(seed, t) would and exactly as maximize_form does;
     each component uses its own normalized C+C part of the draw, and the two
     remaining slots are solved exactly by the top singular pair. All trials
-    are valued in one batch, each component with an SVD only where it can
-    set a new record of its own (see _trial_sigmas); only each component's
-    first best trial t is redrawn, by sphere_draws(seed, t, t + 1, ...), and
-    its block of that component, bit for bit the batch's, goes to
-    _top_pairs with the other component's: one SVD per component. For d = 2
-    the single exact solve is trial 0.
+    are valued in one batch, each component screened for records of its own
+    (_trial_sigmas with per_component). Each component's first best trial
+    is replayed (see the module docstring), and its block of that component
+    goes to _top_pairs with the other component's: one SVD per component.
+    For d = 2 the single exact solve is trial 0.
     """
     d = comps[0].ndim
     dims = comps[0].shape

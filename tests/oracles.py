@@ -53,6 +53,9 @@ from cqpoly import CQuat, CQVector, MultilinearForm, PolyProblem, cc_split, solv
 from cqpoly.problab import _RE_SIGNS, BATCH_SIZE
 from cqpoly.sampling import RandomSource, sphere_draws
 
+# the units 1, i and j as values, for building test inputs
+ONE, I, J = CQuat(1.0), CQuat(0.0, 1.0), CQuat(0.0, 0.0, 1.0)
+
 
 def qmul(p, q) -> tuple[float, float, float, float]:
     """The product p*q of two (w, x, y, z) component tuples, by i*i = k*k = -1, j*j = 1, ij = k, jk = i, ki = -j."""
@@ -201,7 +204,7 @@ def unscreened_sigmas(comps: np.ndarray, trials: int, seed: int, per_component: 
 
 def form_trial_values(form: MultilinearForm, trials: int, seed: int) -> np.ndarray:
     """Exact value of every trial of maximize_form, as a (trials,) array; one entry for d = 2."""
-    comps = np.stack(cc_split(solvers._sorted_tensor(form)))
+    comps = np.stack(cc_split(solvers._sorted_tensor(form, trials)))
     return unscreened_sigmas(comps, trials if form.order > 2 else 1, seed).max(axis=1)
 
 

@@ -25,6 +25,8 @@ from cqpoly import (
 from cqpoly import cli, sampling
 from cqpoly.cli import main
 
+from . import corpus
+
 
 @pytest.fixture
 def runner():
@@ -164,52 +166,25 @@ def test_extreme_scale_tensor_files_solve_cleanly(tmp_path, runner, scale):
 
 
 @pytest.fixture(scope="module")
-def drawn_inputs(tmp_path_factory):
-    # a random tensor, a random cubic, a tensor with unsorted dims and an order-2 tensor
-    tmp = tmp_path_factory.mktemp("inputs")
-    rng = np.random.default_rng(1)
-    write_tensor(CQTensor(rng.normal(size=(4, 5, 6, 4))), tmp / "random.cqt")
-    poly = PolyProblem(3, 4)
-    for _ in range(12):
-        poly.add_term(tuple(int(i) for i in rng.integers(1, 5, size=3)), CQuat(*rng.uniform(-1, 1, size=4)))
-    write_poly(poly, tmp / "random.cqp")
-    write_tensor(CQTensor(rng.normal(size=(5, 3, 4, 2, 4))), tmp / "unsorted.cqt")
-    write_tensor(CQTensor(rng.normal(size=(5, 3, 4))), tmp / "order2.cqt")
+def corpus_inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("corpus")
+    corpus.write_inputs(tmp)
     return tmp
 
 
-PROBE_OFF_COMMANDS = {
-    "sweep": "experiment --n-list 2,3 --trial-schedule 1,5 --runs 2 --seed 7 --deterministic",
-    # the paper's 10,000 trials, where one chunk seeds 10,000 streams at once
-    "sweep-10000": "experiment --n-list 2,7 --trial-schedule 1,10000 --runs 1 --seed 7 --deterministic",
-    "rank-one": "rank-one --tensor {tmp}/random.cqt --trials 30 --seed 1",
-    # slots with unsorted dims are sampled in sorted order and put back in their own places
-    "rank-one-unsorted": "rank-one --tensor {tmp}/unsorted.cqt --trials 30 --seed 1",
-    # an order-2 tensor samples no slot, so its one exact solve draws nothing
-    "rank-one-order2": "rank-one --tensor {tmp}/order2.cqt --trials 30 --seed 1",
-    "solve-f": "solve-f --tensor {tmp}/random.cqt --trials 30 --seed 1 --gamma 1 --deterministic --out {out}",
-    "solve-f-unsorted": "solve-f --tensor {tmp}/unsorted.cqt --trials 30 --seed 1 --deterministic --out {out}",
-    "solve-f-order2": "solve-f --tensor {tmp}/order2.cqt --trials 30 --seed 1 --deterministic --out {out}",
-    "solve-p": "solve-p --poly {tmp}/random.cqp --trials 30 --seed 1 --estimate-min --deterministic --out {out}",
-    "solve-p-gamma": "solve-p --poly {tmp}/random.cqp --trials 30 --seed 1 --gamma 0.5 --deterministic --out {out}",
-}
-
-
-@pytest.mark.parametrize("name", list(PROBE_OFF_COMMANDS))
-def test_outputs_keep_their_bytes_with_the_state_probe_off(drawn_inputs, runner, monkeypatch, name):
+@pytest.mark.parametrize("name", corpus.PROBE_OFF)
+def test_outputs_keep_their_bytes_with_the_state_probe_off(corpus_inputs, monkeypatch, name):
     # with the probe forced off every draw comes from RandomSource; solves also replay their
     # winner as a one-stream range, which RandomSource draws either way
-    template = PROBE_OFF_COMMANDS[name]
+    monkeypatch.chdir(corpus_inputs)
     outputs = []
     for probe_off in (False, True):
         if probe_off:
             monkeypatch.setattr(sampling, "_formula_matches_numpy", lambda: False)
-        out = drawn_inputs / f"{name}-{probe_off}.csv"
-        args = [token.format(tmp=drawn_inputs, out=out) for token in template.split()]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0, result.output
-        assert out.exists() == ("{out}" in template)
-        outputs.append((result.stdout, out.read_bytes() if out.exists() else None))
+        result = corpus.run(name)
+        assert result["exit"] == 0, result["stderr"]
+        assert ("out" in result) == ("{out}" in corpus.COMMANDS[name])
+        outputs.append(result)
     assert outputs[0] == outputs[1]
 
 

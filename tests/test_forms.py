@@ -10,15 +10,12 @@ from cqpoly import (
     CQTensor,
     CQVector,
     CQuat,
-    I,
-    J,
     MultilinearForm,
-    ONE,
     PolyProblem,
     outer_product,
     symmetrize,
 )
-from .oracles import lift_to_poly, qmul, sign_average_identity
+from .oracles import I, J, ONE, lift_to_poly, qmul, sign_average_identity
 
 rng = np.random.default_rng(55801)
 

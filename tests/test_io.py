@@ -195,8 +195,8 @@ def test_poly_round_trip_property(poly):
     text = dumps_poly(poly)
     with bulk_reader_only():
         again = loads_poly(text)
-    nonzero = {idx: c.components() for idx, c in poly.terms() if any(c.components())}
-    assert {idx: c.components() for idx, c in again.terms()} == nonzero
+    nonzero = {idx: c.components() for idx, c in poly.coeffs.items() if any(c.components())}
+    assert {idx: c.components() for idx, c in again.coeffs.items()} == nonzero
     assert dumps_poly(again) == text
 
 
@@ -230,8 +230,8 @@ def test_canonical_files_take_the_bulk_path():
         warnings.simplefilter("error")
         assert not loads_tensor("CQT1\norder 2\ndims 2 3\n").data.any()
         assert not loads_tensor("CQT1\norder 2\ndims 2 3\n\n \t\n").data.any()
-        assert loads_poly("CQP1\ndegree 2\ndim 3\n").terms() == []
-        assert loads_poly("CQP1\ndegree 2\ndim 3\n  \n").terms() == []
+        assert loads_poly("CQP1\ndegree 2\ndim 3\n").coeffs == {}
+        assert loads_poly("CQP1\ndegree 2\ndim 3\n  \n").coeffs == {}
 
 
 # Tokens that only int() or float() read, that neither reads, or that test a check.

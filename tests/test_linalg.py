@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 from cqpoly import (
     CQTensor,
     CQVector,
-    I,
-    J,
     MultilinearForm,
-    ONE,
     cc_join,
     cc_split,
     outer_product,
 )
-from .oracles import qmul, real_block, vec_real
+from .oracles import I, J, ONE, qmul, real_block, vec_real
 
 rng = np.random.default_rng(77101)
 

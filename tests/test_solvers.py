@@ -12,7 +12,6 @@ from cqpoly import (
     CQVector,
     CQuat,
     MultilinearForm,
-    ONE,
     PolyProblem,
     all_ones_instance,
     best_rank_one,
@@ -30,7 +29,7 @@ from cqpoly import sampling, solvers
 from cqpoly.experiment import ExperimentConfig, run_experiment, run_seed_for
 from cqpoly.forms import _contract_leading
 from cqpoly.sampling import RandomSource
-from .oracles import expected_ratio, form_trial_values, real_block, reference_draws, unscreened_sigmas
+from .oracles import ONE, expected_ratio, form_trial_values, real_block, reference_draws, unscreened_sigmas
 
 
 @pytest.fixture
