@@ -100,10 +100,8 @@ class _Container:
         return cls(data)
 
     def norm(self) -> float:
-        """Frobenius norm, taken of data / 2^e for e = scale_exponent(data) != 0; inf past the float range."""
+        """Frobenius norm, from data / 2^e for e = scale_exponent(data) (e = 0 scales by 1); inf past float range."""
         e = scale_exponent(self.data)
-        if not e:
-            return float(np.sqrt((self.data**2).sum()))
         scaled = float(np.sqrt((np.ldexp(self.data, -e) ** 2).sum()))
         try:
             return math.ldexp(scaled, e)

@@ -107,7 +107,8 @@ class SolveReport:
 
     ``solution`` holds one unit vector per slot for form problems, or a
     single stacked vector for polynomial problems; ``seed`` and
-    ``best_trial`` replay the winning trial. The paper's ratio formula is
+    ``best_trial`` replay the winning trial. ``trials`` is the count asked
+    for, or 1 at d = 2, zero inputs included. The paper's ratio formula is
     the CLI's to print (form_ratio_bound, poly_ratio_bound).
     """
 
@@ -267,8 +268,8 @@ def maximize_form(form: MultilinearForm, trials: int, seed: int) -> SolveReport:
 
     The winning component carries all the weight of the two free vectors;
     an exact tie spreads it evenly over both components, so a real tensor
-    gets a pair in the (1, i) subalgebra. Zero blocks yield an arbitrary
-    unit pair, and the report is flagged degenerate.
+    gets a pair in the (1, i) subalgebra. Zero blocks yield the basis pair
+    (e_1, e_1), and the report is flagged degenerate.
     """
     data = _sorted_tensor(form, trials)
     comps = np.stack(cc_split(data))
@@ -312,26 +313,15 @@ def maximize_poly(poly: PolyProblem, trials: int, seed: int) -> SolveReport:
     come in antipodal pairs, so both normalizations +-u compete. All
     candidates are valued in one pass. Some combination never vanishes: for
     d >= 3 the cross terms s_k s_l cancel over the sign set, so the mean of
-    |sum_k s_k x^k|^2 over it is d; for d = 2 the symmetric relaxation's
-    Takagi pair from _top_pairs has x + y = sqrt(2) t.
+    |sum_k s_k x^k|^2 over it is d; for d = 2, x + y = sqrt(2) t for the
+    Takagi pair of _top_pairs, and 2 e_1 for a zero polynomial's (e_1, e_1).
     """
-    d, n = poly.degree, poly.dim
+    d = poly.degree
     if d < 2:
         raise ValueError("degree must be at least 2")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     form = symmetrize(poly)
-    if not form.tensor.data.any():
-        return SolveReport(
-            solution=[CQVector.basis(n, 0)],
-            objective=0.0,
-            trials=1,
-            best_trial=0,
-            seed=seed,
-            degenerate=True,
-        )
     relaxed = maximize_form(form, trials, seed)
     factors = np.stack([f.data for f in relaxed.solution])
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=d)))
@@ -480,11 +470,10 @@ def best_rank_one(tensor: CQTensor, trials: int, seed: int) -> RankOneResult:
     rho_1^2 + rho_2^2 = 2 and lam rho_c^d = s_c. ``best_trial`` is the
     winning trial of the component with the larger s_c.
 
-    A tensor whose largest entry is m 2^e (1/2 <= m < 1) with |e| >
-    linalg.SAFE_EXPONENT is solved as T / 2^e, a scaling exact for every
-    entry that stays in the normal range, and lam and both residuals are
-    scaled back by 2^e and identity_gap by 2^(2e). Inside that range no
-    squared norm of the solve overflows or underflows.
+    It solves T / 2^e for e = linalg.scale_exponent(T), exact for every
+    entry left in the normal range (e = 0 scales by 1, exactly), so no
+    squared norm overflows or underflows; lam and both residuals are scaled
+    back by 2^e, and identity_gap by 2^(2e).
     """
     d = tensor.order
     if d < 2:
@@ -494,8 +483,7 @@ def best_rank_one(tensor: CQTensor, trials: int, seed: int) -> RankOneResult:
     if not tensor.data.any():
         raise ValueError("zero tensor has no rank-one approximation direction")
     e = scale_exponent(tensor.data)
-    if e:
-        tensor = CQTensor(np.ldexp(tensor.data, -e))
+    tensor = CQTensor(np.ldexp(tensor.data, -e))
     comps = cc_split(tensor.data)
     ran, starts = _randomized_starts(comps, trials, seed)
     scales, directions = [], []
@@ -512,10 +500,9 @@ def best_rank_one(tensor: CQTensor, trials: int, seed: int) -> RankOneResult:
     approx = outer_product(factors)
     direct = float(np.sqrt(((lam * approx.data - tensor.data) ** 2).sum()))
     identity_gap = abs((norm_sq - lam * lam) - direct * direct)
-    if e:
-        with np.errstate(over="ignore"):
-            lam, residual, direct = (float(np.ldexp(v, e)) for v in (lam, residual, direct))
-            identity_gap = float(np.ldexp(identity_gap, 2 * e))
+    with np.errstate(over="ignore"):
+        lam, residual, direct = (float(np.ldexp(v, e)) for v in (lam, residual, direct))
+        identity_gap = float(np.ldexp(identity_gap, 2 * e))
     return RankOneResult(
         lam=lam,
         factors=factors,
@@ -566,11 +553,8 @@ def poly_ratio_bound(degree: int, dim: int, gamma: float) -> float:
 def estimate_ball_min(poly: PolyProblem, trials: int, seed: int) -> float:
     """Upper estimate of the minimum of Re H over the unit ball.
 
-    Runs the maximization pipeline on -H and negates the result; for even
-    degree the origin is also a candidate, so the estimate is capped at 0.
+    Runs the maximization pipeline on -H and negates the result, capped at
+    the origin's 0. At odd degree the rounding values u and -u, and H(-u) =
+    -H(u) exactly, so the cap changes only a zero objective's -0.0 to 0.0.
     """
-    report = maximize_poly(-poly, trials, seed)
-    estimate = -report.objective
-    if poly.degree % 2 == 0:
-        estimate = min(0.0, estimate)
-    return estimate
+    return min(0.0, -maximize_poly(-poly, trials, seed).objective)

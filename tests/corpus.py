@@ -16,7 +16,8 @@ compare: ``diff -r parent-dir change-dir`` prints nothing. Run it at
 OPENBLAS_NUM_THREADS=2 as well to compare BLAS thread counts.
 
 PROBE_OFF names the commands tier-1 runs with the state probe of
-cqpoly.sampling on and forced off (tests/test_cli.py).
+cqpoly.sampling on and forced off, and FAR_SCALED those it runs on the
+tensors scaled past the float range of their squares (tests/test_cli.py).
 """
 
 from __future__ import annotations
@@ -88,7 +89,12 @@ def inputs() -> dict[str, str]:
     files = {}
     # a random tensor, a sparse cubic (its repeated draws summed), unsorted dims and an order-2 tensor
     rng = np.random.default_rng(1)
-    files["random.cqt"] = tensor_text(rng.normal(size=(4, 5, 6, 4)))
+    random_data = rng.normal(size=(4, 5, 6, 4))
+    files["random.cqt"] = tensor_text(random_data)
+    # the random tensor scaled by powers of two past linalg.SAFE_EXPONENT, whose squares underflow
+    # or overflow: the solvers rescale them exactly
+    files["tiny.cqt"] = tensor_text(2.0**-700 * random_data)
+    files["huge.cqt"] = tensor_text(2.0**700 * random_data)
     sparse = [(rng.integers(1, 5, size=3).tolist(), rng.uniform(-1, 1, size=4).tolist()) for _ in range(12)]
     files["random.cqp"] = poly_text(3, 4, sparse)
     files["unsorted.cqt"] = tensor_text(rng.normal(size=(5, 3, 4, 2, 4)))
@@ -115,6 +121,7 @@ def inputs() -> dict[str, str]:
         files[f"d{degree}-n{dim}.cqp"] = poly_text(degree, dim, _dense_terms(rng, degree, dim))
     files["real-d3-n4.cqp"] = poly_text(3, 4, _dense_terms(rng, 3, 4, real=True))
     files["zero.cqp"] = poly_text(3, 3, [])
+    files["zero-d2.cqp"] = poly_text(2, 3, [])
     # what the parser must read as the writers never write: entries out of order, CRLF line
     # endings, tabs and blank lines, and a polynomial whose tuples each appear twice
     lines = tensor_text(rng.normal(size=(3, 4, 2, 4))).splitlines()
@@ -164,9 +171,12 @@ def _commands() -> dict[str, str]:
     }
     tensors = [
         "random", "unsorted", "order2", "rand", "sym", "sym13", "sym-order2", "supersym", "real", "ones", "zero",
-        "shuffled",
+        "shuffled", "tiny", "huge",
     ]
-    polys = ["random", "rand", "d2-n3", "d2-n5", "d3-n2", "d3-n3", "d4-n3", "d5-n2", "real-d3-n4", "zero", "repeated"]
+    polys = [
+        "random", "rand", "d2-n3", "d2-n5", "d3-n2", "d3-n3", "d4-n3", "d5-n2", "real-d3-n4", "zero", "zero-d2",
+        "repeated",
+    ]
     for seed, trials in itertools.product((1, 9), (1, 30)):
         run = f"--trials {trials} --seed {seed}"
         for stem in tensors:
@@ -186,6 +196,7 @@ PROBE_OFF = (
     "sweep", "sweep-10000", "rank-one", "rank-one-unsorted", "rank-one-order2",
     "solve-f", "solve-f-unsorted", "solve-f-order2", "solve-p", "solve-p-gamma",
 )
+FAR_SCALED = tuple(name for name in COMMANDS if ".tiny." in name or ".huge." in name)
 
 
 def write_inputs(directory: Path) -> None:

@@ -188,6 +188,15 @@ def test_outputs_keep_their_bytes_with_the_state_probe_off(corpus_inputs, monkey
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("name", corpus.FAR_SCALED)
+def test_far_scaled_corpus_tensors_solve_cleanly(corpus_inputs, monkeypatch, name):
+    # entries near 2^-700 and 2^700, whose squares underflow or overflow, solve with no warning
+    monkeypatch.chdir(corpus_inputs)
+    result = corpus.run(name)
+    assert result["exit"] == 0, result["stderr"]
+    assert result["stderr"] == b""
+
+
 def test_experiment_csv_and_determinism(tmp_path, runner):
     args = [
         "experiment",

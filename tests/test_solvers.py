@@ -611,11 +611,39 @@ def test_maximize_poly_sum_of_squares():
 
 
 def test_maximize_poly_zero_is_degenerate():
-    poly = PolyProblem(3, 2)
-    report = maximize_poly(poly, 10, seed=0)
-    assert report.degenerate
-    assert report.objective == 0.0
-    assert report.solution[0].norm() == pytest.approx(1.0)
+    # a zero polynomial solves like the zero tensor of its relaxation's shape: every trial runs
+    for degree, trials in itertools.product(range(2, 7), (1, 30)):
+        report = maximize_poly(PolyProblem(degree, 3), trials, seed=0)
+        zero = maximize_form(MultilinearForm(CQTensor(np.zeros((3,) * degree + (4,)))), trials, seed=0)
+        assert report.trials == zero.trials == (trials if degree > 2 else 1)
+        assert report.degenerate
+        assert report.relaxation.degenerate and report.relaxation.objective == 0.0
+        assert report.objective == 0.0 and math.copysign(1.0, report.objective) == 1.0
+        assert report.solution[0].norm() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_estimate_ball_min_of_zero_is_positive_zero(degree):
+    estimate = estimate_ball_min(PolyProblem(degree, 3), 30, seed=1)
+    assert estimate == 0.0 and math.copysign(1.0, estimate) == 1.0
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    degree=st.sampled_from([3, 5]),
+    dim=st.integers(1, 3),
+    terms=st.integers(0, 4),
+    data_seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(1, 20),
+)
+def test_maximize_poly_odd_degree_objective_is_nonnegative(degree, dim, terms, data_seed, trials):
+    # the rounding values u and -u, and H(-u) = -H(u) exactly, so estimate_ball_min's one cap at 0
+    # changes no negated objective of odd degree but a zero's -0.0
+    g = np.random.default_rng(data_seed)
+    poly = PolyProblem(degree, dim)
+    for _ in range(terms):
+        poly.add_term(g.integers(1, dim + 1, size=degree), CQuat(*g.normal(size=4)))
+    assert maximize_poly(poly, trials, seed=data_seed).objective >= 0.0
 
 
 def test_odd_degree_sign_symmetry(rng):
